@@ -35,6 +35,7 @@ from .control import (
     Verdict,
     Witness,
     WindowOracle,
+    as_weak,
     hierarchy_consistent,
     is_controllable,
     is_k_controllable,
@@ -257,9 +258,10 @@ def _verdict_json(v: Verdict) -> dict:
 def build_report(h: ProductSubgroup, kmax: int | None = None) -> dict:
     """All hierarchy verdicts plus structural data, as one JSON-ready mapping."""
     w, l = effective_window(h)
+    controllable = is_controllable(h)
     verdicts = [
-        is_weakly_controllable_discrete(h),
-        is_controllable(h),
+        as_weak(controllable),
+        controllable,
         is_uniformly_controllable(h),
         is_strongly_controllable(h, k_max=kmax),
     ]
@@ -519,6 +521,16 @@ def _depths_arg(text: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
+def _gap_bound_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad gap bound {text!r}; expected an integer") from exc
+    if value < 0:
+        raise ParseError(f"bad gap bound {value}; --kmax must be non-negative")
+    return value
+
+
 def _profile_csv(rows: Iterable[tuple[Any, int, int, Any]]) -> str:
     out = ["parameter,k,image_order,defect"]
     for parameter, k, image_order, defect in rows:
@@ -664,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="compute every hierarchy verdict")
     common(p, ("human", "json"))
-    p.add_argument("--kmax", type=int, help="largest gap to try for the least index")
+    p.add_argument("--kmax", type=_gap_bound_arg, help="largest gap to try for the least index")
     p.add_argument(
         "--cap",
         type=int,
@@ -681,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kcontrol", help="gap-by-gap splice check")
     common(p, ("human", "json"))
-    p.add_argument("--kmax", type=int, help="largest gap to test (default: window size)")
+    p.add_argument("--kmax", type=_gap_bound_arg, help="largest gap to test (default: window size)")
     p.set_defaults(func=cmd_kcontrol)
 
     p = sub.add_parser("decompose", help="invariant factors of the window image")
@@ -690,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full canonical JSON report")
     common(p, ("json",))
-    p.add_argument("--kmax", type=int, help="largest gap to try for the least index")
+    p.add_argument("--kmax", type=_gap_bound_arg, help="largest gap to try for the least index")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("reproduce", help="re-run a packaged experiment")
@@ -704,8 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     out = sys.stdout if out is None else out
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Argument types raise ParseError, which argparse passes through.
+        args = parser.parse_args(argv)
         return args.func(args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

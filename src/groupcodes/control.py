@@ -20,7 +20,7 @@ scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InternalInconsistency
@@ -185,8 +185,12 @@ def is_weakly_controllable_discrete(h: ProductSubgroup) -> Verdict:
     finite pattern, so density is the same projection equality that
     controllability checks; the verdict delegates and relabels.
     """
-    v = is_controllable(h)
-    return Verdict(WEAKLY_CONTROLLABLE, v.holds, v.evidence)
+    return as_weak(is_controllable(h))
+
+
+def as_weak(controllable: Verdict) -> Verdict:
+    """The weak-controllability verdict carried by a controllability verdict."""
+    return replace(controllable, property=WEAKLY_CONTROLLABLE)
 
 
 def _window_parts(h: ProductSubgroup) -> list[ProductSubgroup]:
@@ -282,28 +286,32 @@ def is_k_controllable(h: ProductSubgroup, k: int) -> Verdict:
 
 
 def strong_index(h: ProductSubgroup, k_max: int | None = None) -> int | None:
-    """Least gap that works at every cut, or None up to ``k_max``.
+    """Least gap that works at every cut, or None up to ``k_max``."""
+    return _least_gap(h, k_max)[0]
+
+
+def _least_gap(h: ProductSubgroup, k_max: int | None) -> tuple[int | None, Verdict | None]:
+    """Least working gap up to the bound with its verdict, or None and the verdict at the bound.
 
     Splicing only gets easier as the gap grows, so the first success in an
-    ascending scan is the least index.
+    ascending scan is the least index.  The verdict is None only for a
+    negative bound, where no gap is tried.
     """
     w, l = effective_window(h)
     bound = w + l if k_max is None else k_max
+    v = None
     for k in range(bound + 1):
-        if is_k_controllable(h, k).holds:
-            return k
-    return None
+        v = is_k_controllable(h, k)
+        if v.holds:
+            return k, v
+    return None, v
 
 
 def is_strongly_controllable(h: ProductSubgroup, k_max: int | None = None) -> Verdict:
-    w, l = effective_window(h)
-    bound = w + l if k_max is None else k_max
-    idx = strong_index(h, k_max=bound)
-    if idx is None:
-        last = is_k_controllable(h, bound)
-        return Verdict(STRONGLY_CONTROLLABLE, False, last.evidence, k=None)
-    v = is_k_controllable(h, idx)
-    return Verdict(STRONGLY_CONTROLLABLE, True, v.evidence, k=idx)
+    idx, v = _least_gap(h, k_max)
+    if v is None:
+        raise ValueError("gap must be non-negative")
+    return Verdict(STRONGLY_CONTROLLABLE, idx is not None, v.evidence, k=idx)
 
 
 def hierarchy_consistent(verdicts: dict[str, bool]) -> bool:
@@ -581,6 +589,7 @@ __all__ = [
     "controllable_at",
     "is_controllable",
     "is_weakly_controllable_discrete",
+    "as_weak",
     "uniformity_defect",
     "is_uniformly_controllable",
     "is_k_controllable",

@@ -4,8 +4,13 @@ A group is a tuple of factor orders; an element is a coordinate vector of
 residues.  A subgroup is stored as the canonical Hermite basis of the
 integer lattice of all its coordinate representatives, which by
 construction contains the relation lattice spanned by ``orders[j] * e_j``.
-Two subgroups are equal exactly when their canonical bases are equal, so
-every subgroup identity in the engine reduces to matrix equality.
+Canonicalisation inserts the generators into the triangular basis
+``diag(orders)`` and keeps every entry below its column's order
+(``intlinalg.echelon_mod``); because the row Hermite form of a lattice is
+unique, this is the same basis a general HNF of the generators stacked on
+the relations gives.  Two subgroups are equal exactly when their canonical
+bases are equal, so every subgroup identity in the engine reduces to
+matrix equality.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CapExceeded, SchemaMismatch
 from .intlinalg import (
     IntMatrix,
-    echelon_lattice,
+    echelon_mod,
     kernel_basis,
     lattice_member,
     snf,
@@ -125,10 +130,12 @@ class GroupElement:
 class Subgroup:
     """Subgroup of ``parent`` as the canonical lattice of its representatives.
 
-    Any generator matrix may be passed as ``basis``; construction stacks the
-    relation rows on top and rewrites to the canonical Hermite form, so
-    structurally equal Subgroup values denote the same subgroup and
-    conversely.
+    Any generator matrix may be passed as ``basis``; construction adds the
+    relation rows ``orders[j] * e_j`` and rewrites to the canonical Hermite
+    form, an ``n x n`` upper triangular matrix whose pivots divide the
+    orders.  The generators are inserted into ``diag(orders)`` with entries
+    kept below the orders, and the Hermite form is unique, so structurally
+    equal Subgroup values denote the same subgroup and conversely.
     """
 
     parent: FiniteAbelianGroup
@@ -137,9 +144,7 @@ class Subgroup:
     def __post_init__(self) -> None:
         if self.basis.cols != self.parent.n:
             raise SchemaMismatch("basis width does not match group rank")
-        relations = IntMatrix.diagonal(list(self.parent.orders))
-        canon = echelon_lattice(self.basis.vstack(relations))
-        object.__setattr__(self, "basis", canon)
+        object.__setattr__(self, "basis", echelon_mod(self.basis, self.parent.orders))
 
     def order(self) -> int:
         pivots = prod(self.basis[i, i] for i in range(self.basis.rows))
@@ -154,8 +159,8 @@ def span(parent: FiniteAbelianGroup, gens: Iterable[GroupElement]) -> Subgroup:
     for g in gens:
         if g.parent != parent:
             raise SchemaMismatch("generator outside the ambient group")
-        rows.append(list(g.coords))
-    return Subgroup(parent, IntMatrix.from_rows(rows, cols=parent.n))
+        rows.append(g.coords)
+    return Subgroup(parent, IntMatrix(len(rows), parent.n, tuple(itertools.chain.from_iterable(rows))))
 
 
 def trivial(parent: FiniteAbelianGroup) -> Subgroup:
@@ -197,7 +202,7 @@ def subgroup_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
                 for j in range(a.parent.n):
                     vec[j] += c * row[j]
         rows.append(vec)
-    return Subgroup(a.parent, IntMatrix.from_rows(rows, cols=a.parent.n))
+    return Subgroup(a.parent, IntMatrix(len(rows), a.parent.n, tuple(itertools.chain.from_iterable(rows))))
 
 
 def subgroup_equal(a: Subgroup, b: Subgroup) -> bool:
@@ -271,8 +276,8 @@ def preimage(f: Homomorphism, s: Subgroup) -> Subgroup:
         raise SchemaMismatch("subgroup outside the codomain")
     stacked = f.matrix.hstack(-s.basis.transpose())
     kern = kernel_basis(stacked)
-    rows = [list(kern.row(i))[: f.domain.n] for i in range(kern.rows)]
-    return Subgroup(f.domain, IntMatrix.from_rows(rows, cols=f.domain.n))
+    flat = tuple(itertools.chain.from_iterable(kern.row(i)[: f.domain.n] for i in range(kern.rows)))
+    return Subgroup(f.domain, IntMatrix(kern.rows, f.domain.n, flat))
 
 
 def kernel(f: Homomorphism) -> Subgroup:
@@ -293,7 +298,7 @@ def invariant_factors(s: Subgroup) -> list[int]:
         rel[j] = o
         coeffs = _echelon_coefficients(s.basis, rel)
         presentation.append(coeffs)
-    d = snf(IntMatrix.from_rows(presentation, cols=n)).d
+    d = snf(IntMatrix(n, n, tuple(itertools.chain.from_iterable(presentation)))).d
     return [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] > 1]
 
 

@@ -7,7 +7,14 @@ Matrices are immutable; all operations return new values.
 Conventions:
   * hnf is row-style: ``u @ m == h`` with ``u`` unimodular, ``h`` in row
     echelon form, pivots positive, entries above a pivot reduced into
-    ``[0, pivot)``, zero rows collected at the bottom.
+    ``[0, pivot)``, zero rows collected at the bottom.  Only the kernel and
+    solver routines read ``u``; ``echelon_lattice`` runs the same row
+    elimination without a transform.
+  * echelon_mod gives the same canonical basis for a lattice that holds
+    ``orders[j] * e_j`` for every column: it inserts the generators into
+    ``diag(orders)`` one at a time and keeps every entry right of a pivot
+    below its column's order, so entries never grow.  The row HNF of a
+    lattice is unique, so both routes agree exactly.
   * snf satisfies ``l @ m @ r == d`` with ``d`` diagonal, entries
     non-negative, and each diagonal entry dividing the next.
 """
@@ -15,6 +22,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -32,7 +40,7 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(map(isinstance, self.entries, repeat(int))):
             raise ValueError("entries must be integers")
 
     @classmethod
@@ -91,7 +99,7 @@ class IntMatrix:
         for i in range(self.rows):
             ai = a[i]
             out.append([sum(ai[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)])
-        return IntMatrix.from_rows(out, cols=other.cols)
+        return _from_int_rows(out, other.cols)
 
     def __neg__(self) -> IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
@@ -108,8 +116,8 @@ class IntMatrix:
     def hstack(self, other: IntMatrix) -> IntMatrix:
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntMatrix.from_rows(rows, cols=self.cols + other.cols)
+        flat = tuple(chain.from_iterable(self.row(i) + other.row(i) for i in range(self.rows)))
+        return IntMatrix(self.rows, self.cols + other.cols, flat)
 
     def vstack(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.cols:
@@ -137,42 +145,66 @@ def hnf(m: IntMatrix) -> HnfResult:
     The result shape equals the input shape; zero rows sink to the bottom.
     """
     a = m.to_rows()
-    u = IntMatrix.identity(m.rows).to_rows()
+    u = _identity_rows(m.rows)
+    _hermite(a, m.cols, u)
+    return HnfResult(_from_int_rows(a, m.cols), _from_int_rows(u, m.rows))
+
+
+def _hermite(a: list[list[int]], cols: int, u: list[list[int]] | None = None) -> int:
+    """Reduce the rows of ``a`` in place to row HNF and return the rank.
+
+    Every row operation is applied to ``u`` too when it is given.  Rows
+    below the returned rank are zero.
+    """
+    nrows = len(a)
     piv = 0
-    for col in range(m.cols):
-        if piv >= m.rows:
+    for col in range(cols):
+        if piv >= nrows:
             break
         # Reduce the column below piv to a single entry by gcd elimination.
         while True:
-            live = [i for i in range(piv, m.rows) if a[i][col] != 0]
+            live = [i for i in range(piv, nrows) if a[i][col] != 0]
             if not live:
                 break
             pick = min(live, key=lambda i: abs(a[i][col]))
             if pick != piv:
                 a[piv], a[pick] = a[pick], a[piv]
-                u[piv], u[pick] = u[pick], u[piv]
+                if u is not None:
+                    u[piv], u[pick] = u[pick], u[piv]
             if len(live) == 1:
                 break
             p = a[piv][col]
-            for i in range(piv + 1, m.rows):
+            for i in range(piv + 1, nrows):
                 if a[i][col]:
                     q = a[i][col] // p
                     if q:
                         _row_sub(a, i, piv, q)
-                        _row_sub(u, i, piv, q)
+                        if u is not None:
+                            _row_sub(u, i, piv, q)
         if a[piv][col] == 0:
             continue
         if a[piv][col] < 0:
             a[piv] = [-x for x in a[piv]]
-            u[piv] = [-x for x in u[piv]]
+            if u is not None:
+                u[piv] = [-x for x in u[piv]]
         p = a[piv][col]
         for i in range(piv):
             q = a[i][col] // p
             if q:
                 _row_sub(a, i, piv, q)
-                _row_sub(u, i, piv, q)
+                if u is not None:
+                    _row_sub(u, i, piv, q)
         piv += 1
-    return HnfResult(IntMatrix.from_rows(a, cols=m.cols), IntMatrix.from_rows(u, cols=m.rows))
+    return piv
+
+
+def _from_int_rows(rows: Sequence[Sequence[int]], cols: int) -> IntMatrix:
+    """Matrix from equal-length rows that already hold ints."""
+    return IntMatrix(len(rows), cols, tuple(chain.from_iterable(rows)))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _row_sub(rows: list[list[int]], i: int, j: int, q: int) -> None:
@@ -190,8 +222,8 @@ def snf(m: IntMatrix) -> SnfResult:
     """
     a = m.to_rows()
     nr, nc = m.rows, m.cols
-    l = IntMatrix.identity(nr).to_rows()
-    r = IntMatrix.identity(nc).to_rows()
+    l = _identity_rows(nr)
+    r = _identity_rows(nc)
     t = 0
     while t < nr and t < nc:
         pivot_pos = _min_nonzero(a, t, nr, nc)
@@ -243,11 +275,7 @@ def snf(m: IntMatrix) -> SnfResult:
             a[t] = [-x for x in a[t]]
             l[t] = [-x for x in l[t]]
         t += 1
-    return SnfResult(
-        IntMatrix.from_rows(a, cols=nc),
-        IntMatrix.from_rows(l, cols=nr),
-        IntMatrix.from_rows(r, cols=nc),
-    )
+    return SnfResult(_from_int_rows(a, nc), _from_int_rows(l, nr), _from_int_rows(r, nc))
 
 
 def _min_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
@@ -308,8 +336,8 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     map onto zero rows of the echelon form span the kernel lattice.
     """
     res = hnf(m.transpose())
-    rows = [list(res.u.row(i)) for i in range(res.h.rows) if all(x == 0 for x in res.h.row(i))]
-    return IntMatrix.from_rows(rows, cols=m.cols)
+    rows = [res.u.row(i) for i in range(res.h.rows) if all(x == 0 for x in res.h.row(i))]
+    return _from_int_rows(rows, m.cols)
 
 
 def kernel_mod(a: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
@@ -328,15 +356,74 @@ def kernel_mod(a: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
         return IntMatrix.identity(a.cols)
     stacked = a.hstack(IntMatrix.diagonal([-mod for mod in moduli]))
     full = kernel_basis(stacked)
-    projected = IntMatrix.from_rows([list(full.row(i))[: a.cols] for i in range(full.rows)], cols=a.cols)
-    return echelon_lattice(projected)
+    projected = [full.row(i)[: a.cols] for i in range(full.rows)]
+    return echelon_lattice(_from_int_rows(projected, a.cols))
 
 
 def echelon_lattice(m: IntMatrix) -> IntMatrix:
     """Canonical HNF basis of the lattice generated by the rows, zero rows dropped."""
-    h = hnf(m).h
-    rows = [list(h.row(i)) for i in range(h.rows) if any(h.row(i))]
-    return IntMatrix.from_rows(rows, cols=m.cols)
+    a = m.to_rows()
+    rank = _hermite(a, m.cols)
+    return _from_int_rows(a[:rank], m.cols)
+
+
+def echelon_mod(gens: IntMatrix, orders: Sequence[int]) -> IntMatrix:
+    """Canonical HNF basis of the lattice spanned by the rows of ``gens`` and ``orders[j] * e_j``.
+
+    Equals ``echelon_lattice(gens.vstack(IntMatrix.diagonal(orders)))``
+    for positive ``orders``, computed with bounded entries: the basis
+    starts as the triangular ``diag(orders)``, and each generator, reduced
+    mod ``orders``, is inserted column by column through a unimodular
+    extended-gcd step with that column's pivot row.  Throughout, every
+    entry right of a pivot is kept reduced mod the order of its column
+    ``j``, which is allowed because ``orders[j] * e_j`` lies in the lattice
+    and, in a triangular basis of a full-rank lattice, in the span of rows
+    ``j..n-1``.  A last pass reduces the entries above each pivot into
+    ``[0, pivot)``.  The row HNF of a lattice is unique, so the result is
+    the same matrix the general HNF produces.
+    """
+    n = len(orders)
+    if gens.cols != n:
+        raise ValueError("generator width does not match the number of orders")
+    basis = [[0] * n for _ in range(n)]
+    for k, o in enumerate(orders):
+        basis[k][k] = o
+    for i in range(gens.rows):
+        g = [x % o for x, o in zip(gens.row(i), orders)]
+        for k in range(n):
+            a = g[k]
+            if not a:
+                continue
+            row = basis[k]
+            p = row[k]
+            tail = range(k + 1, n)
+            if a % p == 0:
+                q = a // p
+                g = [0] * (k + 1) + [(g[j] - q * row[j]) % orders[j] for j in tail]
+                continue
+            d, s, t = _xgcd(p, a)
+            x, y = p // d, a // d
+            basis[k] = [0] * k + [d] + [(s * row[j] + t * g[j]) % orders[j] for j in tail]
+            g = [0] * (k + 1) + [(y * row[j] - x * g[j]) % orders[j] for j in tail]
+    for k in range(n):
+        row = basis[k]
+        p = row[k]
+        for i in range(k):
+            q = basis[i][k] // p
+            if q:
+                _row_sub(basis, i, k, q)
+    return _from_int_rows(basis, n)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """``(d, s, t)`` with ``d == gcd(a, b) == s * a + t * b`` for positive ``a``."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 def lattice_member(basis: IntMatrix, vec: Sequence[int]) -> bool:
@@ -434,6 +521,7 @@ __all__ = [
     "kernel_basis",
     "kernel_mod",
     "echelon_lattice",
+    "echelon_mod",
     "lattice_member",
     "lattice_coefficients",
     "lattice_reduce",

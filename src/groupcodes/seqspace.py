@@ -16,6 +16,7 @@ over the coordinates of an effective window ``[0, W)`` plus one block of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -258,7 +259,7 @@ def intersect_directsum(h: ProductSubgroup) -> ProductSubgroup:
     for t in range(l):
         for slot in range(len(tail_orders)):
             rows.append([g.value_at(w + t).coords[slot] for g in h.gens])
-    coeffs = kernel_mod(IntMatrix.from_rows(rows, cols=len(h.gens)), list(tail_orders) * l)
+    coeffs = kernel_mod(IntMatrix(len(rows), len(h.gens), tuple(chain.from_iterable(rows))), list(tail_orders) * l)
     return ProductSubgroup(h.schema, _combination_gens(h, coeffs))
 
 
@@ -285,7 +286,7 @@ def intersect_sum_window(h: ProductSubgroup, window: Iterable[int]) -> ProductSu
         for slot in range(len(tail_orders)):
             rows.append([g.value_at(w2 + t).coords[slot] for g in h.gens])
         moduli.extend(tail_orders)
-    coeffs = kernel_mod(IntMatrix.from_rows(rows, cols=len(h.gens)), moduli)
+    coeffs = kernel_mod(IntMatrix(len(rows), len(h.gens), tuple(chain.from_iterable(rows))), moduli)
     return ProductSubgroup(h.schema, _combination_gens(h, coeffs))
 
 

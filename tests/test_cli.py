@@ -243,6 +243,17 @@ class TestExitCodes:
         code, _ = run(["reproduce", "--id", "nope"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("command,kmax", [("check", "-1"), ("report", "-1"), ("kcontrol", "-3")])
+    def test_negative_kmax(self, command, kmax, tmp_path, capsys):
+        src = tmp_path / "h.txt"
+        src.write_text(BLOCKS)
+        code, text = run([command, "--kmax", kmax, "--input", str(src)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert text == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--kmax" in err
+
 
 class TestReproduce:
     def test_registry_complete(self):

@@ -208,6 +208,21 @@ class TestCertificates:
             assert v.holds == (idx is not None)
             assert v.k == idx
 
+    def test_strong_verdict_below_least_gap_keeps_last_witness(self):
+        for h, _ in CORPUS[:10]:
+            idx = strong_index(h)
+            if not idx:
+                continue
+            v = is_strongly_controllable(h, k_max=idx - 1)
+            assert not v.holds and v.k is None
+            assert v.evidence == is_k_controllable(h, idx - 1).evidence
+
+    def test_negative_gap_bound(self):
+        h, _ = CORPUS[0]
+        assert strong_index(h, k_max=-1) is None
+        with pytest.raises(ValueError):
+            is_strongly_controllable(h, k_max=-1)
+
 
 class TestKnownInstances:
     def test_full_group_is_0_controllable(self):

@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupcodes.errors import CapExceeded, SchemaMismatch
 from groupcodes.finabel import (
     FiniteAbelianGroup,
     Homomorphism,
+    Subgroup,
     direct_sum,
     enumerate_subgroup,
     full,
@@ -24,6 +27,7 @@ from groupcodes.finabel import (
     subgroup_sum,
     trivial,
 )
+from groupcodes.intlinalg import IntMatrix, echelon_lattice
 
 
 def closure(group, gens):
@@ -125,6 +129,27 @@ class TestSpanMembership:
             g = random_group(rng)
             s = span(g, random_elements(rng, g, 2))
             assert g.order() % s.order() == 0
+
+
+@st.composite
+def generator_matrices(draw):
+    orders = draw(st.lists(st.one_of(st.sampled_from([1, 4, 6, 12, 36, 60]), st.integers(1, 64)), max_size=6))
+    n, r = len(orders), draw(st.integers(0, 6))
+    entries = st.one_of(st.integers(-60, 60), st.integers(-(10**15), 10**15))
+    return orders, IntMatrix(r, n, tuple(draw(st.lists(entries, min_size=r * n, max_size=r * n))))
+
+
+class TestCanonicalBasis:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(generator_matrices())
+    @example(([], IntMatrix(0, 0, ())))
+    @example(([1, 1], IntMatrix(1, 2, (5, -3))))
+    def test_equals_hnf_of_generators_over_relations(self, case):
+        orders, gens = case
+        s = Subgroup(FiniteAbelianGroup(tuple(orders)), gens)
+        assert s.basis == echelon_lattice(gens.vstack(IntMatrix.diagonal(orders)))
+        assert s.basis.rows == len(orders)
+        assert all(orders[j] % s.basis[j, j] == 0 for j in range(len(orders)))
 
 
 class TestSumIntersect:

@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupcodes.intlinalg import (
     IntMatrix,
     det,
     echelon_lattice,
+    echelon_mod,
     hnf,
     kernel_basis,
     kernel_mod,
@@ -295,3 +298,54 @@ class TestSolvers:
     def test_solve_mod_unsolvable(self):
         a = IntMatrix.from_rows([[2]])
         assert solve_mod(a, [1], [4]) is None
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+ORDERS = st.one_of(st.sampled_from([1, 2, 4, 6, 12, 30, 36, 60, 210]), st.integers(1, 97))
+ENTRIES = st.one_of(st.integers(-50, 50), st.integers(-(10**15), 10**15))
+
+
+@st.composite
+def matrices(draw, cols=None, max_rows=6):
+    c = draw(st.integers(0, 6)) if cols is None else cols
+    r = draw(st.integers(0, max_rows))
+    return IntMatrix(r, c, tuple(draw(st.lists(ENTRIES, min_size=r * c, max_size=r * c))))
+
+
+@st.composite
+def lattice_cases(draw):
+    orders = draw(st.lists(ORDERS, max_size=6))
+    return draw(matrices(cols=len(orders))), orders
+
+
+class TestKernelProperties:
+    @PROPERTY
+    @given(lattice_cases())
+    @example((IntMatrix(0, 0, ()), []))
+    @example((IntMatrix(2, 0, ()), []))
+    @example((IntMatrix(1, 3, (-(10**20), 7, 10**20)), [1, 6, 1]))
+    def test_echelon_mod_equals_general_hnf(self, case):
+        gens, orders = case
+        assert echelon_mod(gens, orders) == echelon_lattice(gens.vstack(IntMatrix.diagonal(orders)))
+
+    @PROPERTY
+    @given(matrices())
+    def test_echelon_lattice_is_nonzero_hnf_rows(self, m):
+        h = hnf(m).h
+        assert rows(echelon_lattice(m)) == [r for r in rows(h) if any(r)]
+
+    @PROPERTY
+    @given(
+        st.lists(st.integers(), max_size=5),
+        st.one_of(st.floats(allow_nan=False), st.text(max_size=3)),
+        st.data(),
+    )
+    def test_rejects_non_integer_entries(self, ints, bad, data):
+        at = data.draw(st.integers(0, len(ints)))
+        entries = tuple(ints[:at]) + (bad,) + tuple(ints[at:])
+        with pytest.raises(ValueError):
+            IntMatrix(1, len(entries), entries)
+
+    def test_echelon_mod_rejects_width_mismatch(self):
+        with pytest.raises(ValueError):
+            echelon_mod(IntMatrix.zeros(1, 2), [2, 3, 4])
