@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 from . import __version__
 from .control import (
     STRONGLY_CONTROLLABLE,
+    Analysis,
     Certificate,
     DefectProfile,
     Verdict,
@@ -37,12 +38,7 @@ from .control import (
     WindowOracle,
     as_weak,
     hierarchy_consistent,
-    is_controllable,
-    is_k_controllable,
-    is_strongly_controllable,
-    is_uniformly_controllable,
     is_weakly_controllable_discrete,
-    strong_index,
     uniformity_defect,
     verify_verdict,
 )
@@ -57,17 +53,17 @@ from .errors import (
 from .families import (
     block_family,
     chain_faces_hold,
+    chain_family,
     defect_growth,
     dense_trivial_sum_family,
     torsion_torus_example,
-    z2_power_example,
+    z2_power_chain,
 )
-from .finabel import FiniteAbelianGroup, span
+from .finabel import FiniteAbelianGroup
 from .seqspace import (
     CoordSchema,
     ProductSubgroup,
     SeqElement,
-    effective_window,
     intersect_directsum,
     project,
     subgroup_order,
@@ -251,23 +247,27 @@ def _evidence_json(ev: Certificate | Witness) -> dict:
     }
 
 
+def _profile_json(profile: DefectProfile) -> dict:
+    table = [[k, order] for k, order in profile.table]
+    return {"j": list(profile.j), "defect": profile.defect, "table": table}
+
+
 def _verdict_json(v: Verdict) -> dict:
     return {"property": v.property, "holds": v.holds, "k": v.k}
 
 
 def build_report(h: ProductSubgroup, kmax: int | None = None) -> dict:
     """All hierarchy verdicts plus structural data, as one JSON-ready mapping."""
-    w, l = effective_window(h)
-    controllable = is_controllable(h)
+    a = Analysis(h)
+    controllable = a.controllable()
     verdicts = [
         as_weak(controllable),
         controllable,
-        is_uniformly_controllable(h),
-        is_strongly_controllable(h, k_max=kmax),
+        a.uniformly_controllable(),
+        a.strongly_controllable(kmax),
     ]
     if not hierarchy_consistent({v.property: v.holds for v in verdicts}):
         raise InternalInconsistency("computed verdicts violate the implication chain")
-    profile = uniformity_defect(h, (0,))
     report = {
         "engine_version": __version__,
         "schema": {
@@ -275,14 +275,10 @@ def build_report(h: ProductSubgroup, kmax: int | None = None) -> dict:
             "tail": list(h.schema.tail.orders),
         },
         "subgroup": {"gens": [_element_json(g) for g in h.gens]},
-        "truncation_params": {"window": w, "period": l},
+        "truncation_params": {"window": a.w, "period": a.l},
         "verdicts": [_verdict_json(v) for v in verdicts],
         "certificates": [_evidence_json(v.evidence) for v in verdicts],
-        "defect_profile": {
-            "j": list(profile.j),
-            "defect": profile.defect,
-            "table": [[k, order] for k, order in profile.table],
-        },
+        "defect_profile": _profile_json(a.uniformity_defect((0,))),
         "invariant_factors": list(decompose(h).factors),
     }
     validate_report(report)
@@ -358,22 +354,10 @@ def _plain(value: Any) -> Any:
 def _reproduce_chain_growth(claims: _Claims) -> None:
     """Ascending chains over powers of Z/2: controllable, defect one below depth."""
     for depth in range(2, 7):
-        h = z2_power_example(depth)
-        m = FiniteAbelianGroup((2,) * depth)
-        chain = []
-        for i in range(depth):
-            rows = []
-            for j in range(i + 1):
-                row = [0] * depth
-                row[j] = 1
-                rows.append(m.element(row))
-            chain.append(span(m, rows))
-        claims.check(f"depth {depth}: controllable", True, is_controllable(h).holds)
-        claims.check(
-            f"depth {depth}: defect at coordinate 0",
-            depth - 1,
-            uniformity_defect(h, (0,)).defect,
-        )
+        m, chain = z2_power_chain(depth)
+        a = Analysis(chain_family(m, chain))
+        claims.check(f"depth {depth}: controllable", True, a.controllable().holds)
+        claims.check(f"depth {depth}: defect at coordinate 0", depth - 1, a.uniformity_defect((0,)).defect)
         faces = all(chain_faces_hold(m, chain, k) for k in range(depth))
         claims.check(f"depth {depth}: finite-faces identity", True, faces)
 
@@ -414,10 +398,11 @@ def _reproduce_dense(claims: _Claims) -> None:
 def _reproduce_blocks(claims: _Claims) -> None:
     """Two blocks over Z/2: uniform but not k-controllable below the block size."""
     h = block_family(2, (2, 3))
-    claims.check("uniformly controllable", True, is_uniformly_controllable(h).holds)
+    a = Analysis(h)
+    claims.check("uniformly controllable", True, a.uniformly_controllable().holds)
     for k in range(2):
-        claims.check(f"{k}-controllable", False, is_k_controllable(h, k).holds)
-    idx = strong_index(h)
+        claims.check(f"{k}-controllable", False, a.k_controllable(k).holds)
+    idx, _ = a.least_gap()
     claims.check("least working gap", 2, idx)
     oracle = WindowOracle(h)
     claims.check("least working gap, by enumeration", oracle.strong_index(), idx)
@@ -477,8 +462,8 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     if args.format == "json":
         _write_output(render_json(report), args.out, out)
         return EXIT_OK
-    w, l = effective_window(h)
-    lines = [f"window: explicit {w}, repeating block {l}"]
+    window = report["truncation_params"]
+    lines = [f"window: explicit {window['window']}, repeating block {window['period']}"]
     for v in report["verdicts"]:
         label = v["property"]
         extra = f" (least gap {v['k']})" if label == STRONGLY_CONTROLLABLE and v["k"] is not None else ""
@@ -521,14 +506,20 @@ def _depths_arg(text: str) -> range:
     return range(int(lo), int(hi) + 1)
 
 
-def _gap_bound_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise ParseError(f"bad gap bound {text!r}; expected an integer") from exc
-    if value < 0:
-        raise ParseError(f"bad gap bound {value}; --kmax must be non-negative")
-    return value
+def _non_negative_arg(flag: str, what: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise ParseError(f"bad {what} {text!r}; expected an integer") from exc
+        if value < 0:
+            raise ParseError(f"bad {what} {value}; {flag} must be non-negative")
+        return value
+
+    return parse
+
+
+_gap_bound_arg = _non_negative_arg("--kmax", "gap bound")
 
 
 def _profile_csv(rows: Iterable[tuple[Any, int, int, Any]]) -> str:
@@ -560,17 +551,14 @@ def cmd_defect(args: argparse.Namespace, out: TextIO) -> int:
             ]
             _write_output(render_json(payload), args.out, out)
         elif args.format == "csv":
-            flat: list[tuple[Any, int, int, Any]] = []
-            for r in rows:
-                flat.extend(_profile_rows(r.parameter, r.profile))
+            flat = [row for r in rows for row in _profile_rows(r.parameter, r.profile)]
             _write_output(_profile_csv(flat), args.out, out)
         else:
-            lines = []
-            for r in rows:
-                lines.append(
-                    f"parameter {r.parameter}: defect {r.profile.defect}, "
-                    f"controllable {_yesno(r.controllable)}, least gap {r.strong}"
-                )
+            lines = [
+                f"parameter {r.parameter}: defect {r.profile.defect}, "
+                f"controllable {_yesno(r.controllable)}, least gap {r.strong}"
+                for r in rows
+            ]
             _write_output("\n".join(lines) + "\n", args.out, out)
         return EXIT_OK
     h = parse_subgroup(_read_input(args.input))
@@ -578,32 +566,23 @@ def cmd_defect(args: argparse.Namespace, out: TextIO) -> int:
     profile = uniformity_defect(h, coords)
     label = ";".join(map(str, coords))
     if args.format == "json":
-        payload = {
-            "j": list(profile.j),
-            "defect": profile.defect,
-            "table": [[k, order] for k, order in profile.table],
-        }
-        _write_output(render_json(payload), args.out, out)
+        _write_output(render_json(_profile_json(profile)), args.out, out)
     elif args.format == "csv":
         _write_output(_profile_csv(_profile_rows(label, profile)), args.out, out)
     else:
         lines = [f"coordinates: {list(coords)}"]
         for k, order in profile.table:
             lines.append(f"window [0, {k}]: image order {order}")
-        lines.append(
-            "defect: exceeds the effective window"
-            if profile.exceeds_window
-            else f"defect: {profile.defect}"
-        )
+        defect = "exceeds the effective window" if profile.exceeds_window else profile.defect
+        lines.append(f"defect: {defect}")
         _write_output("\n".join(lines) + "\n", args.out, out)
     return EXIT_OK
 
 
 def cmd_kcontrol(args: argparse.Namespace, out: TextIO) -> int:
-    h = parse_subgroup(_read_input(args.input))
-    w, l = effective_window(h)
-    kmax = (w + l) if args.kmax is None else args.kmax
-    results = [(k, is_k_controllable(h, k)) for k in range(kmax + 1)]
+    a = Analysis(parse_subgroup(_read_input(args.input)))
+    kmax = (a.w + a.l) if args.kmax is None else args.kmax
+    results = [(k, a.k_controllable(k)) for k in range(kmax + 1)]
     idx = next((k for k, v in results if v.holds), None)
     if args.format == "json":
         payload = {
@@ -679,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=_gap_bound_arg, help="largest gap to try for the least index")
     p.add_argument(
         "--cap",
-        type=int,
+        type=_non_negative_arg("--cap", "enumeration cap"),
         help="also cross-check all verdicts by enumeration, up to this many elements",
     )
     p.set_defaults(func=cmd_check)

@@ -16,6 +16,15 @@ Every verdict carries either a certificate (re-derivable equalities of
 canonical bases) or a witness (a concrete projection that lies in one
 image and not the other); ``verify_verdict`` re-checks both kinds from
 scratch.
+
+The deciders are views over one ``Analysis`` per subgroup, which computes
+each window part ``part(k)`` (elements supported inside ``[0, k]``), each
+projection and each splice at most once.  ``part(W + L)`` is the
+finite-support part: its congruence rows are those of ``intersect_directsum``
+shifted cyclically through the block, and ``kernel_mod`` is canonical.  An
+equality of projections onto ``[0, n]`` holds on ``[0, n - 1]`` too, so
+segment defects never decrease; a splice with gap ``k`` at a cut gives one
+with gap ``k + 1``, so the least-gap scan never lowers ``k``.
 """
 
 from __future__ import annotations
@@ -131,51 +140,169 @@ def _separating_element(larger: Subgroup, smaller: Subgroup) -> GroupElement:
     raise InternalInconsistency("no separating basis element between unequal subgroups")
 
 
-def _segment(n: int) -> tuple[int, ...]:
-    return tuple(range(n + 1))
+class Analysis:
+    """Everything the deciders compute for one subgroup, each part at most once.
+
+    The window is read once; window parts, projections and splices are
+    memoised.  A window part with the same generators as an earlier part or
+    as the subgroup is stored as that object, so projections are keyed by
+    the source object and equal sources share them.  An instance serves one
+    call; nothing is cached across instances.
+    """
+
+    def __init__(self, h: ProductSubgroup):
+        self.h = h
+        self.w, self.l = effective_window(h)
+        self._sources: dict[tuple[SeqElement, ...], ProductSubgroup] = {h.gens: h}
+        self._parts: dict[int, ProductSubgroup] = {}
+        self._projections: dict[tuple[int, tuple[int, ...]], Subgroup] = {}
+        self._splices: dict[tuple[int, int], EqualityClaim | Witness] = {}
+
+    def part(self, k: int) -> ProductSubgroup:
+        """Elements supported inside ``[0, k]``; ``part(W + L)`` is the finite-support part."""
+        if k not in self._parts:
+            p = intersect_sum_window(self.h, range(k + 1))
+            self._parts[k] = self._sources.setdefault(p.gens, p)
+        return self._parts[k]
+
+    def _project(self, source: ProductSubgroup, coords: tuple[int, ...]) -> Subgroup:
+        """Projection onto ``coords`` of ``self.h`` or a part, both held as long as this object."""
+        key = (id(source), coords)
+        if key not in self._projections:
+            self._projections[key] = project(source, coords)
+        return self._projections[key]
+
+    def controllable_at(self, j: Iterable[int]) -> Verdict:
+        coords = tuple(sorted(set(j)))
+        ph = self._project(self.h, coords)
+        pd = self._project(self.part(self.w + self.l), coords)
+        if subgroup_equal(ph, pd):
+            claim = EqualityClaim(coords, _basis_rows(ph), _basis_rows(pd))
+            return Verdict(CONTROLLABLE, True, Certificate("projection_equality", (claim,)))
+        x = _separating_element(ph, pd)
+        context = "pattern of the subgroup with no finite-support match"
+        return Verdict(CONTROLLABLE, False, Witness(coords, x, "directsum", context=context))
+
+    def controllable(self) -> Verdict:
+        """Initial segments ``[0, n]``, ``n < W + L``, decide every finite coordinate set.
+
+        Any finite set lies in such a segment once the window is covered, and
+        a finite-support match on ``[0, W + L)`` vanishes beyond the window.
+        """
+        w, l = self.w, self.l
+        claims = []
+        for n in range(w + l):
+            v = self.controllable_at(range(n + 1))
+            if not v.holds:
+                return v
+            assert isinstance(v.evidence, Certificate)
+            claims.extend(v.evidence.claims)
+        note = f"initial segments up to {w + l - 1} cover all finite coordinate sets at window ({w}, {l})"
+        return Verdict(CONTROLLABLE, True, Certificate("projection_equality", tuple(claims), note))
+
+    def uniformity_defect(self, j: Iterable[int], start: int = 0) -> DefectProfile:
+        """Least window part from ``start`` on that fills the projection onto ``j``; the table starts there."""
+        coords = tuple(sorted(set(j)))
+        target = self._project(self.h, coords)
+        table = []
+        for k in range(start, self.w + self.l + 1):
+            pk = self._project(self.part(k), coords)
+            table.append((k, pk.order()))
+            if subgroup_equal(pk, target):
+                return DefectProfile(coords, k, tuple(table))
+        return DefectProfile(coords, None, tuple(table))
+
+    def uniformly_controllable(self) -> Verdict:
+        top = self.w + self.l
+        claims = []
+        k = 0
+        for n in range(top):
+            coords = tuple(range(n + 1))
+            ph = self._project(self.h, coords)
+            defect = self.uniformity_defect(coords, start=k).defect
+            if defect is None:
+                x = _separating_element(ph, self._project(self.part(top), coords))
+                context = "pattern not matched by any support window up to W+L"
+                return Verdict(UNIFORMLY_CONTROLLABLE, False, Witness(coords, x, "window", k=top, context=context))
+            k = defect
+            pk = self._project(self.part(k), coords)
+            claims.append(EqualityClaim(coords, _basis_rows(ph), _basis_rows(pk), k=k))
+        return Verdict(UNIFORMLY_CONTROLLABLE, True, Certificate("window_equality", tuple(claims)))
+
+    def splice(self, n: int, k: int) -> EqualityClaim | Witness:
+        """The splice check at cut ``n`` with gap ``k``: its claim, or a pair that cannot be joined."""
+        if (n, k) not in self._splices:
+            joint, product, coords = _splice_spans(self.h, n, k, (self.w, self.l))
+            if subgroup_equal(joint, product):
+                self._splices[n, k] = EqualityClaim(coords, _basis_rows(joint), _basis_rows(product), n=n, k=k)
+            else:
+                x = _separating_element(product, joint)
+                context = "past/future pair with no spliced element at this cut"
+                self._splices[n, k] = Witness(coords, x, "splice", n=n, k=k, context=context)
+        return self._splices[n, k]
+
+    def k_controllable(self, k: int) -> Verdict:
+        if k < 0:
+            raise ValueError("gap must be non-negative")
+        claims = []
+        for n in range(self.w + self.l + 1):
+            ev = self.splice(n, k)
+            if isinstance(ev, Witness):
+                return Verdict(K_CONTROLLABLE, False, ev, k=k)
+            claims.append(ev)
+        return Verdict(K_CONTROLLABLE, True, Certificate("splice_equality", tuple(claims)), k=k)
+
+    def least_gap(self, k_max: int | None = None) -> tuple[int | None, Verdict | None]:
+        """Least working gap up to the bound with its verdict, or None and the verdict at the bound.
+
+        ``k`` rises only while the current cut fails, since a larger gap never
+        breaks a cut that splices.  The verdict is None only for a negative
+        bound, where no gap is tried.
+        """
+        top = self.w + self.l
+        bound = top if k_max is None else k_max
+        if bound < 0:
+            return None, None
+        k = 0
+        for n in range(top + 1):
+            while k <= bound and isinstance(self.splice(n, k), Witness):
+                k += 1
+            if k > bound:
+                return None, self.k_controllable(bound)
+        return k, self.k_controllable(k)
+
+    def strongly_controllable(self, k_max: int | None = None) -> Verdict:
+        idx, v = self.least_gap(k_max)
+        if v is None:
+            raise ValueError("gap must be non-negative")
+        return Verdict(STRONGLY_CONTROLLABLE, idx is not None, v.evidence, k=idx)
+
+
+def _splice_spans(
+    h: ProductSubgroup, n: int, k: int, window: tuple[int, int] | None = None
+) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
+    """Span of joint past/future patterns versus the product of the images."""
+    w, l = window or effective_window(h)
+    coords = tuple(range(n)) + tuple(range(n + k, max(w, n + k) + l))
+    ambient = ambient_group(h.schema, coords)
+    restricted = [restrict(g, coords, ambient) for g in h.gens]
+    a_width = sum(h.schema.group_at(i).n for i in range(n))
+    b_zero, a_zero = (0,) * (ambient.n - a_width), (0,) * a_width
+    split_gens = []
+    for x in restricted:
+        split_gens.append(ambient.element(x.coords[:a_width] + b_zero))
+        split_gens.append(ambient.element(a_zero + x.coords[a_width:]))
+    return span(ambient, restricted), span(ambient, split_gens), coords
 
 
 def controllable_at(h: ProductSubgroup, j: Iterable[int]) -> Verdict:
     """Whether the finite-support part already fills the projection onto ``j``."""
-    coords = tuple(sorted(set(j)))
-    dsum = intersect_directsum(h)
-    return _controllable_at_given(h, dsum, coords)
-
-
-def _controllable_at_given(h: ProductSubgroup, dsum: ProductSubgroup, coords: tuple[int, ...]) -> Verdict:
-    ph = project(h, coords)
-    pd = project(dsum, coords)
-    if subgroup_equal(ph, pd):
-        claim = EqualityClaim(coords, _basis_rows(ph), _basis_rows(pd))
-        return Verdict(CONTROLLABLE, True, Certificate("projection_equality", (claim,)))
-    x = _separating_element(ph, pd)
-    return Verdict(
-        CONTROLLABLE,
-        False,
-        Witness(coords, x, "directsum", context="pattern of the subgroup with no finite-support match"),
-    )
+    return Analysis(h).controllable_at(j)
 
 
 def is_controllable(h: ProductSubgroup) -> Verdict:
-    """Controllability over all finite coordinate sets.
-
-    Initial segments ``[0, n]`` for ``n < W + L`` decide the general case:
-    any finite set sits inside such a segment once the window is covered,
-    and a finite-support match on ``[0, W + L)`` forces the matched element
-    to vanish beyond the window, extending the match to every segment.
-    """
-    w, l = effective_window(h)
-    dsum = intersect_directsum(h)
-    claims = []
-    for n in range(w + l):
-        v = _controllable_at_given(h, dsum, _segment(n))
-        if not v.holds:
-            return Verdict(CONTROLLABLE, False, v.evidence)
-        cert = v.evidence
-        assert isinstance(cert, Certificate)
-        claims.extend(cert.claims)
-    note = f"initial segments up to {w + l - 1} cover all finite coordinate sets at window ({w}, {l})"
-    return Verdict(CONTROLLABLE, True, Certificate("projection_equality", tuple(claims), note))
+    """Controllability over all finite coordinate sets."""
+    return Analysis(h).controllable()
 
 
 def is_weakly_controllable_discrete(h: ProductSubgroup) -> Verdict:
@@ -193,125 +320,27 @@ def as_weak(controllable: Verdict) -> Verdict:
     return replace(controllable, property=WEAKLY_CONTROLLABLE)
 
 
-def _window_parts(h: ProductSubgroup) -> list[ProductSubgroup]:
-    w, l = effective_window(h)
-    return [intersect_sum_window(h, range(k + 1)) for k in range(w + l + 1)]
-
-
 def uniformity_defect(h: ProductSubgroup, j: Iterable[int]) -> DefectProfile:
-    coords = tuple(sorted(set(j)))
-    return _defect_given(h, coords, _window_parts(h))
-
-
-def _defect_given(h: ProductSubgroup, coords: tuple[int, ...], parts: Sequence[ProductSubgroup]) -> DefectProfile:
-    target = project(h, coords)
-    table = []
-    for k, part in enumerate(parts):
-        pk = project(part, coords)
-        table.append((k, pk.order()))
-        if subgroup_equal(pk, target):
-            return DefectProfile(coords, k, tuple(table))
-    if controllable_at(h, coords).holds:
-        raise InternalInconsistency(
-            "projection is matched by the full finite-support part but by no window part"
-        )
-    return DefectProfile(coords, None, tuple(table))
+    return Analysis(h).uniformity_defect(j)
 
 
 def is_uniformly_controllable(h: ProductSubgroup) -> Verdict:
     """A finite support window suffices for every finite coordinate set."""
-    w, l = effective_window(h)
-    parts = _window_parts(h)
-    claims = []
-    for n in range(w + l):
-        coords = _segment(n)
-        profile = _defect_given(h, coords, parts)
-        if profile.exceeds_window:
-            ph = project(h, coords)
-            pw = project(parts[-1], coords)
-            x = _separating_element(ph, pw)
-            return Verdict(
-                UNIFORMLY_CONTROLLABLE,
-                False,
-                Witness(coords, x, "window", k=len(parts) - 1,
-                        context="pattern not matched by any support window up to W+L"),
-            )
-        k = profile.defect
-        assert k is not None
-        pk = project(parts[k], coords)
-        ph = project(h, coords)
-        claims.append(EqualityClaim(coords, _basis_rows(ph), _basis_rows(pk), k=k))
-    return Verdict(UNIFORMLY_CONTROLLABLE, True, Certificate("window_equality", tuple(claims)))
-
-
-def _splice_spans(h: ProductSubgroup, n: int, k: int) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
-    """Span of joint past/future patterns versus the product of the images."""
-    w, l = effective_window(h)
-    w2 = max(w, n + k)
-    a_coords = list(range(n))
-    b_coords = list(range(n + k, w2 + l))
-    coords = tuple(a_coords + b_coords)
-    ambient = ambient_group(h.schema, coords)
-    joint = span(ambient, [restrict(g, coords, ambient) for g in h.gens])
-    split_gens = []
-    a_width = sum(h.schema.group_at(i).n for i in a_coords)
-    for g in h.gens:
-        flat = restrict(g, coords, ambient).coords
-        split_gens.append(ambient.element(flat[:a_width] + (0,) * (len(flat) - a_width)))
-        split_gens.append(ambient.element((0,) * a_width + flat[a_width:]))
-    product = span(ambient, split_gens)
-    return joint, product, coords
+    return Analysis(h).uniformly_controllable()
 
 
 def is_k_controllable(h: ProductSubgroup, k: int) -> Verdict:
     """Splice any past with any future at every cut, with gap exactly ``k``."""
-    if k < 0:
-        raise ValueError("gap must be non-negative")
-    w, l = effective_window(h)
-    claims = []
-    for n in range(w + l + 1):
-        joint, product, coords = _splice_spans(h, n, k)
-        if subgroup_equal(joint, product):
-            claims.append(EqualityClaim(coords, _basis_rows(joint), _basis_rows(product), n=n, k=k))
-            continue
-        x = _separating_element(product, joint)
-        return Verdict(
-            K_CONTROLLABLE,
-            False,
-            Witness(coords, x, "splice", n=n, k=k,
-                    context="past/future pair with no spliced element at this cut"),
-            k=k,
-        )
-    return Verdict(K_CONTROLLABLE, True, Certificate("splice_equality", tuple(claims)), k=k)
+    return Analysis(h).k_controllable(k)
 
 
 def strong_index(h: ProductSubgroup, k_max: int | None = None) -> int | None:
     """Least gap that works at every cut, or None up to ``k_max``."""
-    return _least_gap(h, k_max)[0]
-
-
-def _least_gap(h: ProductSubgroup, k_max: int | None) -> tuple[int | None, Verdict | None]:
-    """Least working gap up to the bound with its verdict, or None and the verdict at the bound.
-
-    Splicing only gets easier as the gap grows, so the first success in an
-    ascending scan is the least index.  The verdict is None only for a
-    negative bound, where no gap is tried.
-    """
-    w, l = effective_window(h)
-    bound = w + l if k_max is None else k_max
-    v = None
-    for k in range(bound + 1):
-        v = is_k_controllable(h, k)
-        if v.holds:
-            return k, v
-    return None, v
+    return Analysis(h).least_gap(k_max)[0]
 
 
 def is_strongly_controllable(h: ProductSubgroup, k_max: int | None = None) -> Verdict:
-    idx, v = _least_gap(h, k_max)
-    if v is None:
-        raise ValueError("gap must be non-negative")
-    return Verdict(STRONGLY_CONTROLLABLE, idx is not None, v.evidence, k=idx)
+    return Analysis(h).strongly_controllable(k_max)
 
 
 def hierarchy_consistent(verdicts: dict[str, bool]) -> bool:
@@ -320,16 +349,9 @@ def hierarchy_consistent(verdicts: dict[str, bool]) -> bool:
     strongly (some gap) implies uniformly implies controllable implies
     weakly; a violation signals an engine bug.
     """
-    strong = verdicts.get(STRONGLY_CONTROLLABLE)
-    uniform = verdicts.get(UNIFORMLY_CONTROLLABLE)
-    ctrl = verdicts.get(CONTROLLABLE)
-    weak = verdicts.get(WEAKLY_CONTROLLABLE)
-    chain = [strong, uniform, ctrl, weak]
-    known = [v for v in chain if v is not None]
-    for earlier, later in zip(known, known[1:]):
-        if earlier and not later:
-            return False
-    return True
+    ladder = (STRONGLY_CONTROLLABLE, UNIFORMLY_CONTROLLABLE, CONTROLLABLE, WEAKLY_CONTROLLABLE)
+    known = [verdicts[p] for p in ladder if verdicts.get(p) is not None]
+    return not any(earlier and not later for earlier, later in zip(known, known[1:]))
 
 
 def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
@@ -535,14 +557,10 @@ def oracle_check(h: ProductSubgroup, prop: str, params: dict | None = None, cap:
 
 
 def translate_from_Z(window_neg: int, h: ProductSubgroup) -> ProductSubgroup:
-    """Reindex a description whose coordinates start at ``-window_neg``.
+    """Reindex a description whose coordinates start at ``-window_neg``: the identity on storage.
 
-    Stored data always runs over 0, 1, 2, ...; in a two-sided problem the
-    stored coordinate ``i`` stands for integer index ``i - window_neg``.
-    Shifting by ``+window_neg`` is the identity on storage, so this returns
-    an equal subgroup whose coordinate ``i`` now means index ``i``.  All
-    hierarchy properties are invariant because the shift is an isomorphism
-    of the ambient product that maps finite-support parts onto each other.
+    The shift is an isomorphism of the ambient product that maps
+    finite-support parts onto each other, so every verdict is unchanged.
     """
     if window_neg < 0:
         raise ValueError("window_neg must be non-negative")
@@ -586,6 +604,7 @@ __all__ = [
     "Certificate",
     "Verdict",
     "DefectProfile",
+    "Analysis",
     "controllable_at",
     "is_controllable",
     "is_weakly_controllable_discrete",

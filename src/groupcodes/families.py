@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .control import DefectProfile, is_controllable, strong_index, uniformity_defect
+from .control import Analysis, DefectProfile
 from .errors import ChainNotStrict, PreconditionFailed
 from .finabel import (
     FiniteAbelianGroup,
@@ -82,23 +82,21 @@ def chain_faces_hold(m: FiniteAbelianGroup, chain: Sequence[Subgroup], k: int) -
     return subgroups_equal(window_part, ProductSubgroup(h.schema, tuple(layer_gens)))
 
 
+def z2_power_chain(depth: int) -> tuple[FiniteAbelianGroup, list[Subgroup]]:
+    """``M = (Z/2)^depth`` and the chain whose ``A_i`` is spanned by the first ``i + 1`` units."""
+    if depth < 1:
+        raise PreconditionFailed("depth must be at least 1")
+    m = FiniteAbelianGroup((2,) * depth)
+    units = [m.element([int(i == j) for i in range(depth)]) for j in range(depth)]
+    return m, [span(m, units[: i + 1]) for i in range(depth)]
+
+
 def z2_power_example(depth: int) -> ProductSubgroup:
     """Chain family over ``(Z/2)^depth`` with ``A_i`` spanned by the first ``i + 1`` units.
 
     Controllable with supports defect ``depth - 1`` at coordinate 0.
     """
-    if depth < 1:
-        raise PreconditionFailed("depth must be at least 1")
-    m = FiniteAbelianGroup((2,) * depth)
-    chain = []
-    for i in range(depth):
-        rows = []
-        for j in range(i + 1):
-            row = [0] * depth
-            row[j] = 1
-            rows.append(m.element(row))
-        chain.append(span(m, rows))
-    return chain_family(m, chain)
+    return chain_family(*z2_power_chain(depth))
 
 
 def block_family(p: int, block_sizes: Sequence[int]) -> ProductSubgroup:
@@ -203,14 +201,8 @@ def defect_growth(kind: str, grid: Iterable[int], j: Sequence[int] = (0,)) -> li
             h = block_family(2, (2, parameter))
         else:
             raise PreconditionFailed(f"unknown growth family {kind!r}")
-        rows.append(
-            GrowthRow(
-                parameter,
-                uniformity_defect(h, j),
-                is_controllable(h).holds,
-                strong_index(h),
-            )
-        )
+        a = Analysis(h)
+        rows.append(GrowthRow(parameter, a.uniformity_defect(j), a.controllable().holds, a.least_gap()[0]))
     return rows
 
 
@@ -218,6 +210,7 @@ __all__ = [
     "chain_layer",
     "chain_family",
     "chain_faces_hold",
+    "z2_power_chain",
     "z2_power_example",
     "block_family",
     "dense_trivial_sum_family",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, SchemaMismatch
@@ -98,8 +99,7 @@ class GroupElement:
     def __post_init__(self) -> None:
         if len(self.coords) != self.parent.n:
             raise SchemaMismatch("coordinate count does not match group rank")
-        canon = tuple(int(c) % o for c, o in zip(self.coords, self.parent.orders))
-        object.__setattr__(self, "coords", canon)
+        object.__setattr__(self, "coords", tuple(map(mod, map(int, self.coords), self.parent.orders)))
 
     def __add__(self, other: GroupElement) -> GroupElement:
         self._check(other)

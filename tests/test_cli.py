@@ -254,6 +254,16 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--kmax" in err
 
+    def test_negative_cap(self, tmp_path, capsys):
+        src = tmp_path / "h.txt"
+        src.write_text(BLOCKS)
+        code, text = run(["check", "--cap", "-1", "--input", str(src)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert text == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--cap" in err
+
 
 class TestReproduce:
     def test_registry_complete(self):
