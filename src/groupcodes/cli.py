@@ -52,8 +52,8 @@ from .errors import (
 )
 from .families import (
     block_family,
-    chain_faces_hold,
     chain_family,
+    chain_layer_sum,
     defect_growth,
     dense_trivial_sum_family,
     torsion_torus_example,
@@ -67,6 +67,7 @@ from .seqspace import (
     intersect_directsum,
     project,
     subgroup_order,
+    subgroups_equal,
 )
 from .structure import decompose
 from .torus import (
@@ -358,7 +359,7 @@ def _reproduce_chain_growth(claims: _Claims) -> None:
         a = Analysis(chain_family(m, chain))
         claims.check(f"depth {depth}: controllable", True, a.controllable().holds)
         claims.check(f"depth {depth}: defect at coordinate 0", depth - 1, a.uniformity_defect((0,)).defect)
-        faces = all(chain_faces_hold(m, chain, k) for k in range(depth))
+        faces = all(subgroups_equal(a.part(k), chain_layer_sum(m, chain, k)) for k in range(depth))
         claims.check(f"depth {depth}: finite-faces identity", True, faces)
 
 
@@ -402,7 +403,7 @@ def _reproduce_blocks(claims: _Claims) -> None:
     claims.check("uniformly controllable", True, a.uniformly_controllable().holds)
     for k in range(2):
         claims.check(f"{k}-controllable", False, a.k_controllable(k).holds)
-    idx, _ = a.least_gap()
+    idx = a.gap()
     claims.check("least working gap", 2, idx)
     oracle = WindowOracle(h)
     claims.check("least working gap, by enumeration", oracle.strong_index(), idx)
@@ -582,17 +583,18 @@ def cmd_defect(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_kcontrol(args: argparse.Namespace, out: TextIO) -> int:
     a = Analysis(parse_subgroup(_read_input(args.input)))
     kmax = (a.w + a.l) if args.kmax is None else args.kmax
-    results = [(k, a.k_controllable(k)) for k in range(kmax + 1)]
-    idx = next((k for k, v in results if v.holds), None)
+    gap = a.gap()
+    results = [(k, gap is not None and k >= gap) for k in range(kmax + 1)]
+    idx = gap if gap is not None and gap <= kmax else None
     if args.format == "json":
         payload = {
             "kmax": kmax,
-            "results": [{"k": k, "holds": v.holds} for k, v in results],
+            "results": [{"k": k, "holds": holds} for k, holds in results],
             "least_gap": idx,
         }
         _write_output(render_json(payload), args.out, out)
         return EXIT_OK
-    lines = [f"gap {k}: {_yesno(v.holds)}" for k, v in results]
+    lines = [f"gap {k}: {_yesno(holds)}" for k, holds in results]
     lines.append(f"least working gap: {'none up to ' + str(kmax) if idx is None else idx}")
     _write_output("\n".join(lines) + "\n", args.out, out)
     return EXIT_OK
@@ -708,7 +710,7 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ChainNotStrict, PreconditionFailed, SchemaMismatch) as exc:
+    except (ChainNotStrict, PreconditionFailed, SchemaMismatch, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

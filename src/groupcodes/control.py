@@ -19,17 +19,27 @@ scratch.
 
 The deciders are views over one ``Analysis`` per subgroup, which computes
 each window part ``part(k)`` (elements supported inside ``[0, k]``), each
-projection and each splice at most once.  ``part(W + L)`` is the
+projection and the segment defects at most once.  ``part(W + L)`` is the
 finite-support part: its congruence rows are those of ``intersect_directsum``
 shifted cyclically through the block, and ``kernel_mod`` is canonical.  An
 equality of projections onto ``[0, n]`` holds on ``[0, n - 1]`` too, so
-segment defects never decrease; a splice with gap ``k`` at a cut gives one
-with gap ``k + 1``, so the least-gap scan never lowers ``k``.
+segment defects never decrease.
+
+Strong and k-controllability are read off the defects ``d(n)`` of the
+segments ``[0, n - 1]``.  A cut splices exactly when every past pattern
+joins the zero future, and an element of ``H`` that vanishes on the future
+coordinates ``[n + k, max(W, n + k) + L)`` vanishes on a whole block past
+``W``, so it lies in ``part(n + k - 1)``.  Hence cut ``n >= 1`` splices with
+gap ``k`` exactly when ``d(n) <= n + k - 1`` (cut 0 always does), the least
+gap is ``max(0, max_n d(n) - n + 1)``, none if some ``d(n)`` is None, and at
+a cut that splices both spans have the block-diagonal join of the past and
+future images' canonical bases as their basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InternalInconsistency
@@ -143,11 +153,11 @@ def _separating_element(larger: Subgroup, smaller: Subgroup) -> GroupElement:
 class Analysis:
     """Everything the deciders compute for one subgroup, each part at most once.
 
-    The window is read once; window parts, projections and splices are
-    memoised.  A window part with the same generators as an earlier part or
-    as the subgroup is stored as that object, so projections are keyed by
-    the source object and equal sources share them.  An instance serves one
-    call; nothing is cached across instances.
+    The window is read once; window parts, projections and the segment
+    defects are memoised.  A window part with the same generators as an
+    earlier part or as the subgroup is stored as that object, so projections
+    are keyed by the source object and equal sources share them.  An
+    instance serves one call; nothing is cached across instances.
     """
 
     def __init__(self, h: ProductSubgroup):
@@ -156,7 +166,6 @@ class Analysis:
         self._sources: dict[tuple[SeqElement, ...], ProductSubgroup] = {h.gens: h}
         self._parts: dict[int, ProductSubgroup] = {}
         self._projections: dict[tuple[int, tuple[int, ...]], Subgroup] = {}
-        self._splices: dict[tuple[int, int], EqualityClaim | Witness] = {}
 
     def part(self, k: int) -> ProductSubgroup:
         """Elements supported inside ``[0, k]``; ``part(W + L)`` is the finite-support part."""
@@ -212,64 +221,68 @@ class Analysis:
                 return DefectProfile(coords, k, tuple(table))
         return DefectProfile(coords, None, tuple(table))
 
+    @cached_property
+    def segment_defects(self) -> tuple[int | None, ...]:
+        """``d(n)`` for the segments ``[0, n - 1]``, ``n = 1..W+L``, ending at the first None.
+
+        Each scan starts at the previous defect.
+        """
+        defects, d = [], 0
+        for n in range(1, self.w + self.l + 1):
+            d = self.uniformity_defect(range(n), start=d).defect
+            defects.append(d)
+            if d is None:
+                break
+        return tuple(defects)
+
     def uniformly_controllable(self) -> Verdict:
-        top = self.w + self.l
         claims = []
-        k = 0
-        for n in range(top):
-            coords = tuple(range(n + 1))
+        for n, d in enumerate(self.segment_defects, start=1):
+            coords = tuple(range(n))
             ph = self._project(self.h, coords)
-            defect = self.uniformity_defect(coords, start=k).defect
-            if defect is None:
+            if d is None:
+                top = self.w + self.l
                 x = _separating_element(ph, self._project(self.part(top), coords))
                 context = "pattern not matched by any support window up to W+L"
                 return Verdict(UNIFORMLY_CONTROLLABLE, False, Witness(coords, x, "window", k=top, context=context))
-            k = defect
-            pk = self._project(self.part(k), coords)
-            claims.append(EqualityClaim(coords, _basis_rows(ph), _basis_rows(pk), k=k))
+            pk = self._project(self.part(d), coords)
+            claims.append(EqualityClaim(coords, _basis_rows(ph), _basis_rows(pk), k=d))
         return Verdict(UNIFORMLY_CONTROLLABLE, True, Certificate("window_equality", tuple(claims)))
 
-    def splice(self, n: int, k: int) -> EqualityClaim | Witness:
-        """The splice check at cut ``n`` with gap ``k``: its claim, or a pair that cannot be joined."""
-        if (n, k) not in self._splices:
-            joint, product, coords = _splice_spans(self.h, n, k, (self.w, self.l))
-            if subgroup_equal(joint, product):
-                self._splices[n, k] = EqualityClaim(coords, _basis_rows(joint), _basis_rows(product), n=n, k=k)
-            else:
-                x = _separating_element(product, joint)
-                context = "past/future pair with no spliced element at this cut"
-                self._splices[n, k] = Witness(coords, x, "splice", n=n, k=k, context=context)
-        return self._splices[n, k]
+    def gap(self) -> int | None:
+        """Least gap that splices at every cut, ``max(0, max_n d(n) - n + 1)``; None if some ``d(n)`` is."""
+        defects = self.segment_defects
+        return None if None in defects else max([0] + [d - n + 1 for n, d in enumerate(defects, start=1)])
 
     def k_controllable(self, k: int) -> Verdict:
         if k < 0:
             raise ValueError("gap must be non-negative")
+        defects = self.segment_defects
         claims = []
         for n in range(self.w + self.l + 1):
-            ev = self.splice(n, k)
-            if isinstance(ev, Witness):
-                return Verdict(K_CONTROLLABLE, False, ev, k=k)
-            claims.append(ev)
+            if n and (defects[n - 1] is None or defects[n - 1] > n + k - 1):
+                joint, product, coords = _splice_spans(self.h, n, k)
+                x = _separating_element(product, joint)
+                context = "past/future pair with no spliced element at this cut"
+                return Verdict(K_CONTROLLABLE, False, Witness(coords, x, "splice", n=n, k=k, context=context), k=k)
+            past, future = tuple(range(n)), tuple(range(n + k, max(self.w, n + k) + self.l))
+            upper, lower = (_basis_rows(self._project(self.h, c)) for c in (past, future))
+            basis = tuple(r + (0,) * len(lower) for r in upper) + tuple((0,) * len(upper) + r for r in lower)
+            claims.append(EqualityClaim(past + future, basis, basis, n=n, k=k))
         return Verdict(K_CONTROLLABLE, True, Certificate("splice_equality", tuple(claims)), k=k)
 
     def least_gap(self, k_max: int | None = None) -> tuple[int | None, Verdict | None]:
         """Least working gap up to the bound with its verdict, or None and the verdict at the bound.
 
-        ``k`` rises only while the current cut fails, since a larger gap never
-        breaks a cut that splices.  The verdict is None only for a negative
-        bound, where no gap is tried.
+        The verdict is None only for a negative bound, where no gap is tried.
         """
-        top = self.w + self.l
-        bound = top if k_max is None else k_max
+        bound = self.w + self.l if k_max is None else k_max
         if bound < 0:
             return None, None
-        k = 0
-        for n in range(top + 1):
-            while k <= bound and isinstance(self.splice(n, k), Witness):
-                k += 1
-            if k > bound:
-                return None, self.k_controllable(bound)
-        return k, self.k_controllable(k)
+        gap = self.gap()
+        if gap is None or gap > bound:
+            return None, self.k_controllable(bound)
+        return gap, self.k_controllable(gap)
 
     def strongly_controllable(self, k_max: int | None = None) -> Verdict:
         idx, v = self.least_gap(k_max)
@@ -278,11 +291,9 @@ class Analysis:
         return Verdict(STRONGLY_CONTROLLABLE, idx is not None, v.evidence, k=idx)
 
 
-def _splice_spans(
-    h: ProductSubgroup, n: int, k: int, window: tuple[int, int] | None = None
-) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
+def _splice_spans(h: ProductSubgroup, n: int, k: int) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
     """Span of joint past/future patterns versus the product of the images."""
-    w, l = window or effective_window(h)
+    w, l = effective_window(h)
     coords = tuple(range(n)) + tuple(range(n + k, max(w, n + k) + l))
     ambient = ambient_group(h.schema, coords)
     restricted = [restrict(g, coords, ambient) for g in h.gens]

@@ -61,11 +61,15 @@ def chain_family(m: FiniteAbelianGroup, chain: Sequence[Subgroup]) -> ProductSub
     for a, b in zip(chain, chain[1:]):
         if not subgroup_le(a, b) or subgroup_equal(a, b):
             raise ChainNotStrict("chain must be strictly ascending")
-    schema = uniform_schema(m)
+    return chain_layer_sum(m, chain, len(chain) - 1)
+
+
+def chain_layer_sum(m: FiniteAbelianGroup, chain: Sequence[Subgroup], k: int) -> ProductSubgroup:
+    """Sum of the layers ``0..k`` of the chain family, generated by their generators."""
     gens: list[SeqElement] = []
-    for i, a_i in enumerate(chain):
+    for i, a_i in enumerate(chain[: k + 1]):
         gens.extend(chain_layer(m, a_i, i).gens)
-    return ProductSubgroup(schema, tuple(gens))
+    return ProductSubgroup(uniform_schema(m), tuple(gens))
 
 
 def chain_faces_hold(m: FiniteAbelianGroup, chain: Sequence[Subgroup], k: int) -> bool:
@@ -74,12 +78,8 @@ def chain_faces_hold(m: FiniteAbelianGroup, chain: Sequence[Subgroup], k: int) -
     This is the finite-faces identity of the chain family, checked as an
     exact equality of generated subgroups.
     """
-    h = chain_family(m, chain)
-    window_part = intersect_sum_window(h, range(k + 1))
-    layer_gens: list[SeqElement] = []
-    for i in range(min(k + 1, len(chain))):
-        layer_gens.extend(chain_layer(m, chain[i], i).gens)
-    return subgroups_equal(window_part, ProductSubgroup(h.schema, tuple(layer_gens)))
+    window_part = intersect_sum_window(chain_family(m, chain), range(k + 1))
+    return subgroups_equal(window_part, chain_layer_sum(m, chain, k))
 
 
 def z2_power_chain(depth: int) -> tuple[FiniteAbelianGroup, list[Subgroup]]:
@@ -202,13 +202,14 @@ def defect_growth(kind: str, grid: Iterable[int], j: Sequence[int] = (0,)) -> li
         else:
             raise PreconditionFailed(f"unknown growth family {kind!r}")
         a = Analysis(h)
-        rows.append(GrowthRow(parameter, a.uniformity_defect(j), a.controllable().holds, a.least_gap()[0]))
+        rows.append(GrowthRow(parameter, a.uniformity_defect(j), a.controllable().holds, a.gap()))
     return rows
 
 
 __all__ = [
     "chain_layer",
     "chain_family",
+    "chain_layer_sum",
     "chain_faces_hold",
     "z2_power_chain",
     "z2_power_example",

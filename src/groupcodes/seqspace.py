@@ -135,18 +135,6 @@ def _canonicalize(
     return prefix, period
 
 
-def seq_add(a: SeqElement, b: SeqElement) -> SeqElement:
-    return a + b
-
-
-def seq_neg(a: SeqElement) -> SeqElement:
-    return -a
-
-
-def seq_scale(k: int, a: SeqElement) -> SeqElement:
-    return a.scale(k)
-
-
 def zero_element(schema: CoordSchema) -> SeqElement:
     prefix = tuple(schema.group_at(i).zero() for i in range(schema.w0))
     return SeqElement(schema, prefix, (schema.tail.zero(),))
@@ -377,9 +365,6 @@ __all__ = [
     "ProductSubgroup",
     "WindowCodec",
     "uniform_schema",
-    "seq_add",
-    "seq_neg",
-    "seq_scale",
     "zero_element",
     "from_values",
     "delta",

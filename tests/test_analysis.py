@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupcodes.cli import build_report
-from groupcodes.control import is_k_controllable, strong_index, uniformity_defect
-from groupcodes.finabel import FiniteAbelianGroup
+from groupcodes.control import _splice_spans, is_k_controllable, strong_index, uniformity_defect, verify_verdict
+from groupcodes.finabel import FiniteAbelianGroup, subgroup_equal
 from groupcodes.seqspace import (
     CoordSchema,
     ProductSubgroup,
@@ -69,6 +69,21 @@ def test_k_controllability_monotone_and_least_gap(h):
     assert strong_index(h) == first
     for k_max in range(w + l + 1):
         assert strong_index(h, k_max) == (first if first is not None and first <= k_max else None)
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_splice_check_is_read_off_segment_defects(h):
+    # cut n >= 1 splices with gap k exactly when d(n), the defect of [0, n - 1], is at most n + k - 1
+    w, l = effective_window(h)
+    defects = [uniformity_defect(h, range(n)).defect for n in range(1, w + l + 1)]
+    for n in range(w + l + 1):
+        d = defects[n - 1] if n else None
+        for k in range(w + l + 2):
+            expected = n == 0 or (d is not None and d <= n + k - 1)
+            assert subgroup_equal(*_splice_spans(h, n, k)[:2]) == expected
+    for k in range(w + l + 2):
+        assert verify_verdict(h, is_k_controllable(h, k))
 
 
 def _decided(report):

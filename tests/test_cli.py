@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupcodes
 from groupcodes.cli import (
     EXIT_CAP,
     EXIT_INCONSISTENT,
@@ -263,6 +268,24 @@ class TestExitCodes:
         assert text == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--cap" in err
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        src = tmp_path / "h.bin"
+        src.write_bytes(b"\xff\xfe")
+        code, text = run(["check", "--input", str(src)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert text == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_huge_kmax_without_working_gap_finishes(self, tmp_path):
+        src = tmp_path / "h.txt"
+        src.write_text("tail: 2\ngen: 0 | 1 0\ngen: 1 | 0 1\n")
+        argv = [sys.executable, "-m", "groupcodes", "check", "--kmax", str(10**20), "--input", str(src)]
+        env = {**os.environ, "PYTHONPATH": str(Path(groupcodes.__file__).parents[1])}
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == EXIT_OK
+        assert "strongly_controllable: no\n" in done.stdout
 
 
 class TestReproduce:
