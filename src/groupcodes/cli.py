@@ -59,7 +59,7 @@ from .families import (
     torsion_torus_example,
     z2_power_chain,
 )
-from .finabel import FiniteAbelianGroup
+from .finabel import FiniteAbelianGroup, subgroup_equal
 from .seqspace import (
     CoordSchema,
     ProductSubgroup,
@@ -67,7 +67,6 @@ from .seqspace import (
     intersect_directsum,
     project,
     subgroup_order,
-    subgroups_equal,
 )
 from .structure import decompose
 from .torus import (
@@ -87,6 +86,9 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
 EXIT_IO = 5
+
+# kcontrol writes its gap lines in blocks: memory stays flat and an unbuffered stdout is not written line by line.
+LINES_PER_WRITE = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +282,7 @@ def build_report(h: ProductSubgroup, kmax: int | None = None) -> dict:
         "verdicts": [_verdict_json(v) for v in verdicts],
         "certificates": [_evidence_json(v.evidence) for v in verdicts],
         "defect_profile": _profile_json(a.uniformity_defect((0,))),
-        "invariant_factors": list(decompose(h).factors),
+        "invariant_factors": list(decompose(h, a.window).factors),
     }
     validate_report(report)
     return report
@@ -359,7 +361,8 @@ def _reproduce_chain_growth(claims: _Claims) -> None:
         a = Analysis(chain_family(m, chain))
         claims.check(f"depth {depth}: controllable", True, a.controllable().holds)
         claims.check(f"depth {depth}: defect at coordinate 0", depth - 1, a.uniformity_defect((0,)).defect)
-        faces = all(subgroups_equal(a.part(k), chain_layer_sum(m, chain, k)) for k in range(depth))
+        window = range(a.w + a.l)
+        faces = all(subgroup_equal(a.part(k), project(chain_layer_sum(m, chain, k), window)) for k in range(depth))
         claims.check(f"depth {depth}: finite-faces identity", True, faces)
 
 
@@ -444,11 +447,16 @@ def _read_input(path: str | None) -> str:
 
 
 def _write_output(text: str, path: str | None, out: TextIO) -> None:
+    _write_chunks((text,), path, out)
+
+
+def _write_chunks(chunks: Iterable[str], path: str | None, out: TextIO) -> None:
+    """Write each chunk as it is produced, so output of any length streams."""
     if path is None:
-        out.write(text)
+        out.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _yesno(b: bool) -> str:
@@ -584,19 +592,23 @@ def cmd_kcontrol(args: argparse.Namespace, out: TextIO) -> int:
     a = Analysis(parse_subgroup(_read_input(args.input)))
     kmax = (a.w + a.l) if args.kmax is None else args.kmax
     gap = a.gap()
-    results = [(k, gap is not None and k >= gap) for k in range(kmax + 1)]
     idx = gap if gap is not None and gap <= kmax else None
     if args.format == "json":
         payload = {
             "kmax": kmax,
-            "results": [{"k": k, "holds": holds} for k, holds in results],
+            "results": [{"k": k, "holds": gap is not None and k >= gap} for k in range(kmax + 1)],
             "least_gap": idx,
         }
         _write_output(render_json(payload), args.out, out)
         return EXIT_OK
-    lines = [f"gap {k}: {_yesno(holds)}" for k, holds in results]
-    lines.append(f"least working gap: {'none up to ' + str(kmax) if idx is None else idx}")
-    _write_output("\n".join(lines) + "\n", args.out, out)
+
+    def blocks() -> Iterable[str]:
+        for start in range(0, kmax + 1, LINES_PER_WRITE):
+            gaps = range(start, min(start + LINES_PER_WRITE, kmax + 1))
+            yield "".join(f"gap {k}: {_yesno(gap is not None and k >= gap)}\n" for k in gaps)
+        yield f"least working gap: {'none up to ' + str(kmax) if idx is None else idx}\n"
+
+    _write_chunks(blocks(), args.out, out)
     return EXIT_OK
 
 

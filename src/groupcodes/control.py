@@ -17,11 +17,19 @@ canonical bases) or a witness (a concrete projection that lies in one
 image and not the other); ``verify_verdict`` re-checks both kinds from
 scratch.
 
-The deciders are views over one ``Analysis`` per subgroup, which computes
-each window part ``part(k)`` (elements supported inside ``[0, k]``), each
-projection and the segment defects at most once.  ``part(W + L)`` is the
-finite-support part: its congruence rows are those of ``intersect_directsum``
-shifted cyclically through the block, and ``kernel_mod`` is canonical.  An
+The deciders are views over one ``Analysis`` per subgroup.  It encodes the
+generators once on ``[0, W + L)``, the columns of the last coordinate first,
+and runs one ``echelon_mod``.  Its result is a triangular basis of a
+full-rank lattice, so it has the suffix property: the rows whose pivots lie
+in the columns of coordinates ``0..k`` span exactly the representatives that
+vanish above ``k`` (Cohen, A Course in Computational Algebraic Number
+Theory, GTM 138, 2.4).  They give the window part ``part(k)``, the elements
+supported inside ``[0, k]``, for ``k < W``.  An element supported inside
+``[0, k]`` with ``k >= W`` vanishes on a whole block past ``W``, hence on
+``[W, infinity)``, so ``k`` is clamped to ``W - 1`` and that part is the
+finite-support part (trivial when ``W = 0``).  A projection slices columns
+of the generator rows or of a part's rows; a coordinate ``i >= W + L`` reads
+the columns of ``W + (i - W) % L``, the block coordinate it repeats.  An
 equality of projections onto ``[0, n]`` holds on ``[0, n - 1]`` too, so
 segment defects never decrease.
 
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InternalInconsistency
@@ -51,6 +60,7 @@ from .finabel import (
     span,
     subgroup_equal,
 )
+from .intlinalg import IntMatrix, echelon_mod
 from .seqspace import (
     CoordSchema,
     ProductSubgroup,
@@ -151,40 +161,62 @@ def _separating_element(larger: Subgroup, smaller: Subgroup) -> GroupElement:
 
 
 class Analysis:
-    """Everything the deciders compute for one subgroup, each part at most once.
+    """Everything the deciders compute for one subgroup, from one echelon form.
 
-    The window is read once; window parts, projections and the segment
-    defects are memoised.  A window part with the same generators as an
-    earlier part or as the subgroup is stored as that object, so projections
-    are keyed by the source object and equal sources share them.  An
-    instance serves one call; nothing is cached across instances.
+    The generators are encoded once on ``[0, W + L)``, the coordinates'
+    columns laid out last coordinate first, and one ``echelon_mod`` gives
+    the triangular basis of all their representatives.  Window parts and
+    projections are column slices of the generator rows or of a tail of
+    that basis; they and the segment defects are memoised.  An instance
+    serves one call; nothing is cached across instances.
     """
 
     def __init__(self, h: ProductSubgroup):
         self.h = h
         self.w, self.l = effective_window(h)
-        self._sources: dict[tuple[SeqElement, ...], ProductSubgroup] = {h.gens: h}
-        self._parts: dict[int, ProductSubgroup] = {}
-        self._projections: dict[tuple[int, tuple[int, ...]], Subgroup] = {}
+        coords = range(self.w + self.l - 1, -1, -1)
+        groups = [h.schema.group_at(i) for i in coords]
+        self._orders = [o for g in groups for o in g.orders]
+        # Coordinate i occupies the columns [n - _offsets[i + 1], n - _offsets[i]) of n.
+        self._offsets = list(accumulate(reversed([g.n for g in groups]), initial=0))
+        self._gen_rows = [[c for i in coords for c in g.value_at(i).coords] for g in h.gens]
+        flat = tuple(chain.from_iterable(self._gen_rows))
+        basis = echelon_mod(IntMatrix(len(self._gen_rows), len(self._orders), flat), self._orders)
+        self._basis_rows = [basis.row(i) for i in range(basis.rows)]
+        self._projections: dict[tuple[int | None, tuple[int, ...]], Subgroup] = {}
 
-    def part(self, k: int) -> ProductSubgroup:
-        """Elements supported inside ``[0, k]``; ``part(W + L)`` is the finite-support part."""
-        if k not in self._parts:
-            p = intersect_sum_window(self.h, range(k + 1))
-            self._parts[k] = self._sources.setdefault(p.gens, p)
-        return self._parts[k]
+    def part(self, k: int) -> Subgroup:
+        """Elements supported inside ``[0, k]``, on the window ``[0, W + L)``."""
+        return self._project(k, tuple(range(self.w + self.l)))
 
-    def _project(self, source: ProductSubgroup, coords: tuple[int, ...]) -> Subgroup:
-        """Projection onto ``coords`` of ``self.h`` or a part, both held as long as this object."""
-        key = (id(source), coords)
+    @property
+    def window(self) -> Subgroup:
+        """The subgroup on ``[0, W + L)``: ``window_subgroup(h)``'s subgroup."""
+        return self._project(None, tuple(range(self.w + self.l)))
+
+    def _project(self, k: int | None, coords: tuple[int, ...]) -> Subgroup:
+        """Projection onto ``coords`` of the subgroup (``k`` None) or of ``part(k)``."""
+        if k is not None:
+            k = min(k, self.w - 1)
+        key = (k, coords)
         if key not in self._projections:
-            self._projections[key] = project(source, coords)
+            if coords and coords[0] < 0:
+                raise IndexError("coordinates are indexed from 0")
+            n, offsets, w, l = len(self._orders), self._offsets, self.w, self.l
+            cols = []
+            for i in coords:
+                i = i if i < w + l else w + (i - w) % l
+                cols.extend(range(n - offsets[i + 1], n - offsets[i]))
+            rows = self._gen_rows if k is None else self._basis_rows[n - offsets[k + 1] :]
+            flat = [r[c] for r in rows for c in cols]
+            ambient = FiniteAbelianGroup(tuple(self._orders[c] for c in cols))
+            self._projections[key] = Subgroup(ambient, IntMatrix(len(rows), len(cols), tuple(flat)))
         return self._projections[key]
 
     def controllable_at(self, j: Iterable[int]) -> Verdict:
         coords = tuple(sorted(set(j)))
-        ph = self._project(self.h, coords)
-        pd = self._project(self.part(self.w + self.l), coords)
+        ph = self._project(None, coords)
+        pd = self._project(self.w + self.l, coords)
         if subgroup_equal(ph, pd):
             claim = EqualityClaim(coords, _basis_rows(ph), _basis_rows(pd))
             return Verdict(CONTROLLABLE, True, Certificate("projection_equality", (claim,)))
@@ -212,10 +244,10 @@ class Analysis:
     def uniformity_defect(self, j: Iterable[int], start: int = 0) -> DefectProfile:
         """Least window part from ``start`` on that fills the projection onto ``j``; the table starts there."""
         coords = tuple(sorted(set(j)))
-        target = self._project(self.h, coords)
+        target = self._project(None, coords)
         table = []
         for k in range(start, self.w + self.l + 1):
-            pk = self._project(self.part(k), coords)
+            pk = self._project(k, coords)
             table.append((k, pk.order()))
             if subgroup_equal(pk, target):
                 return DefectProfile(coords, k, tuple(table))
@@ -239,13 +271,13 @@ class Analysis:
         claims = []
         for n, d in enumerate(self.segment_defects, start=1):
             coords = tuple(range(n))
-            ph = self._project(self.h, coords)
+            ph = self._project(None, coords)
             if d is None:
                 top = self.w + self.l
-                x = _separating_element(ph, self._project(self.part(top), coords))
+                x = _separating_element(ph, self._project(top, coords))
                 context = "pattern not matched by any support window up to W+L"
                 return Verdict(UNIFORMLY_CONTROLLABLE, False, Witness(coords, x, "window", k=top, context=context))
-            pk = self._project(self.part(d), coords)
+            pk = self._project(d, coords)
             claims.append(EqualityClaim(coords, _basis_rows(ph), _basis_rows(pk), k=d))
         return Verdict(UNIFORMLY_CONTROLLABLE, True, Certificate("window_equality", tuple(claims)))
 
@@ -266,7 +298,7 @@ class Analysis:
                 context = "past/future pair with no spliced element at this cut"
                 return Verdict(K_CONTROLLABLE, False, Witness(coords, x, "splice", n=n, k=k, context=context), k=k)
             past, future = tuple(range(n)), tuple(range(n + k, max(self.w, n + k) + self.l))
-            upper, lower = (_basis_rows(self._project(self.h, c)) for c in (past, future))
+            upper, lower = (_basis_rows(self._project(None, c)) for c in (past, future))
             basis = tuple(r + (0,) * len(lower) for r in upper) + tuple((0,) * len(upper) + r for r in lower)
             claims.append(EqualityClaim(past + future, basis, basis, n=n, k=k))
         return Verdict(K_CONTROLLABLE, True, Certificate("splice_equality", tuple(claims)), k=k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .finabel import invariant_factors
+from .finabel import Subgroup, invariant_factors
 from .seqspace import ProductSubgroup, effective_window, window_subgroup
 
 
@@ -29,16 +29,17 @@ class DecompositionReport:
         return out
 
 
-def decompose(h: ProductSubgroup) -> DecompositionReport:
+def decompose(h: ProductSubgroup, window: Subgroup | None = None) -> DecompositionReport:
     """Cyclic decomposition of the subgroup restricted to its effective window.
 
     The restriction to ``[0, W + L)`` is a faithful image: two elements of
     the subgroup agreeing there are equal, so the invariant factors of the
-    window image classify the subgroup itself up to isomorphism.
+    window image classify the subgroup itself up to isomorphism.  A caller
+    that already holds that image, ``window_subgroup(h)``'s subgroup, passes
+    it as ``window``.
     """
-    w, l = effective_window(h)
-    s, _codec = window_subgroup(h)
-    return DecompositionReport((w, l), tuple(invariant_factors(s)), s.order())
+    s = window_subgroup(h)[0] if window is None else window
+    return DecompositionReport(effective_window(h), tuple(invariant_factors(s)), s.order())
 
 
 def torsion_density(h: ProductSubgroup) -> tuple[bool, str]:

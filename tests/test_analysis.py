@@ -1,18 +1,32 @@
 """Identities the one-pass analysis relies on, as properties of random subgroups."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupcodes.cli import build_report
-from groupcodes.control import _splice_spans, is_k_controllable, strong_index, uniformity_defect, verify_verdict
+from groupcodes.control import (
+    Analysis,
+    WindowOracle,
+    _splice_spans,
+    is_k_controllable,
+    strong_index,
+    uniformity_defect,
+    verify_verdict,
+)
+from groupcodes.errors import CapExceeded
 from groupcodes.finabel import FiniteAbelianGroup, subgroup_equal
 from groupcodes.seqspace import (
     CoordSchema,
     ProductSubgroup,
     SeqElement,
+    constant,
     effective_window,
     intersect_directsum,
     intersect_sum_window,
+    project,
+    uniform_schema,
+    window_subgroup,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -101,3 +115,71 @@ def test_report_invariant_under_generator_presentation(h, rng):
     assert _decided(build_report(ProductSubgroup(h.schema, tuple(shuffled)))) == base
     doubled = h.gens + (rng.choice(h.gens),)
     assert _decided(build_report(ProductSubgroup(h.schema, doubled))) == base
+
+
+@PROPERTY
+@given(product_subgroups(), st.randoms(use_true_random=False), st.integers(2, 5))
+def test_report_invariant_under_derived_generators(h, rng, c):
+    if not h.gens:
+        return
+    base = _decided(build_report(h))
+    x, y = rng.choice(h.gens), rng.choice(h.gens)
+    assert _decided(build_report(ProductSubgroup(h.schema, h.gens + (x + y,)))) == base
+    assert _decided(build_report(ProductSubgroup(h.schema, h.gens + (x.scale(c),)))) == base
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_echelon_parts_match_intersect_sum_window(h):
+    w, l = effective_window(h)
+    a = Analysis(h)
+    targets = [tuple(range(n)) for n in range(1, w + l + 1)] + [(0,)]
+    for k in range(w + l + 2):
+        part = intersect_sum_window(h, range(k + 1))
+        assert a.part(k) == project(part, range(w + l))
+        for coords in targets:
+            assert a._project(k, coords) == project(part, coords)
+    for coords in [(w + l,), (0, w + l + 1), tuple(range(w, w + 2 * l + 1)), (3 * (w + l) + 1,)]:
+        assert a._project(None, coords) == project(h, coords)
+    assert a.window == window_subgroup(h)[0]
+
+
+def _trivial_window(a):
+    return all(a.part(k).order() == 1 for k in range(a.w + a.l + 2))
+
+
+def test_constant_generator_has_empty_explicit_window():
+    schema = uniform_schema(FiniteAbelianGroup((2,)))
+    h = ProductSubgroup(schema, (constant(schema, schema.tail.element((1,))),))
+    a = Analysis(h)
+    assert (a.w, a.l) == (0, 1)
+    assert _trivial_window(a)
+    assert a._project(None, (0, 5)).order() == 2
+    assert a.segment_defects == (None,)
+    assert not a.controllable().holds and verify_verdict(h, a.controllable())
+    assert not a.uniformly_controllable().holds and a.gap() is None
+
+
+@pytest.mark.parametrize("prefix", [(), (FiniteAbelianGroup((3,)), FiniteAbelianGroup((2, 4)))])
+def test_empty_generator_set(prefix):
+    h = ProductSubgroup(CoordSchema(prefix, FiniteAbelianGroup((2,))), ())
+    a = Analysis(h)
+    assert (a.w, a.l) == (len(prefix), 1)
+    assert _trivial_window(a) and a.window.order() == 1
+    assert a.segment_defects == (0,) * (a.w + a.l)
+    assert a.controllable().holds and a.uniformly_controllable().holds and a.gap() == 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(product_subgroups())
+def test_engine_agrees_with_enumeration(h):
+    try:
+        oracle = WindowOracle(h, cap=3000)
+    except CapExceeded:
+        assume(False)
+    a = Analysis(h)
+    defects = a.segment_defects
+    for n in range(1, a.w + a.l + 1):
+        assert (defects[n - 1] if n <= len(defects) else None) == oracle.defect(range(n))
+    assert a.gap() == oracle.strong_index()
+    assert a.controllable().holds == oracle.controllable()

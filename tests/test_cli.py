@@ -214,6 +214,24 @@ class TestCommands:
         assert payload["least_gap"] is None
         assert payload["results"] == [{"k": 0, "holds": False}, {"k": 1, "holds": False}]
 
+    def test_kcontrol_bytes(self, tmp_path):
+        src = tmp_path / "h.txt"
+        dst = tmp_path / "k.txt"
+        src.write_text(BLOCKS)
+        human = "gap 0: no\ngap 1: no\ngap 2: yes\ngap 3: yes\nleast working gap: 2\n"
+        assert run(["kcontrol", "--input", str(src), "--kmax", "3"]) == (EXIT_OK, human)
+        assert run(["kcontrol", "--input", str(src), "--kmax", "3", "--out", str(dst)]) == (EXIT_OK, "")
+        assert dst.read_text() == human
+        results = [{"holds": k >= 2, "k": k} for k in range(4)]
+        payload = {"kmax": 3, "least_gap": 2, "results": results}
+        code, text = run(["kcontrol", "--input", str(src), "--kmax", "3", "--format", "json"])
+        assert (code, text) == (EXIT_OK, json.dumps(payload, indent=2) + "\n")
+        code, text = run(["kcontrol", "--input", str(src), "--kmax", "1"])
+        assert text == "gap 0: no\ngap 1: no\nleast working gap: none up to 1\n"
+        code, text = run(["kcontrol", "--input", str(src), "--kmax", "5000"])
+        lines = [f"gap {k}: {'yes' if k >= 2 else 'no'}\n" for k in range(5001)]
+        assert text == "".join(lines) + "least working gap: 2\n"
+
     def test_decompose(self, tmp_path):
         src = tmp_path / "h.txt"
         src.write_text(MIXED)
