@@ -87,7 +87,7 @@ EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
 EXIT_IO = 5
 
-# kcontrol writes its gap lines in blocks: memory stays flat and an unbuffered stdout is not written line by line.
+# kcontrol writes its gap lines (or JSON entries) in blocks: memory stays flat and an unbuffered stdout is not written line by line.
 LINES_PER_WRITE = 4096
 
 
@@ -593,22 +593,28 @@ def cmd_kcontrol(args: argparse.Namespace, out: TextIO) -> int:
     kmax = (a.w + a.l) if args.kmax is None else args.kmax
     gap = a.gap()
     idx = gap if gap is not None and gap <= kmax else None
-    if args.format == "json":
-        payload = {
-            "kmax": kmax,
-            "results": [{"k": k, "holds": gap is not None and k >= gap} for k in range(kmax + 1)],
-            "least_gap": idx,
-        }
-        _write_output(render_json(payload), args.out, out)
-        return EXIT_OK
 
-    def blocks() -> Iterable[str]:
+    def blocks(head: str, line: Callable[[int, bool], str], last: str) -> Iterable[str]:
+        yield head
         for start in range(0, kmax + 1, LINES_PER_WRITE):
             gaps = range(start, min(start + LINES_PER_WRITE, kmax + 1))
-            yield "".join(f"gap {k}: {_yesno(gap is not None and k >= gap)}\n" for k in gaps)
-        yield f"least working gap: {'none up to ' + str(kmax) if idx is None else idx}\n"
+            yield "".join(line(k, gap is not None and k >= gap) for k in gaps)
+        yield last
 
-    _write_chunks(blocks(), args.out, out)
+    if args.format == "json":
+        # The bytes of render_json({"kmax": .., "least_gap": .., "results": [{"holds": .., "k": ..}, ..]}).
+        chunks = blocks(
+            f'{{\n  "kmax": {kmax},\n  "least_gap": {json.dumps(idx)},\n  "results": [',
+            lambda k, holds: f'{"," if k else ""}\n    {{\n      "holds": {json.dumps(holds)},\n      "k": {k}\n    }}',
+            "\n  ]\n}\n",
+        )
+    else:
+        chunks = blocks(
+            "",
+            lambda k, holds: f"gap {k}: {_yesno(holds)}\n",
+            f"least working gap: {'none up to ' + str(kmax) if idx is None else idx}\n",
+        )
+    _write_chunks(chunks, args.out, out)
     return EXIT_OK
 
 

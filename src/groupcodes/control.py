@@ -504,7 +504,10 @@ class WindowOracle:
         return self.patterns(coords) == self.patterns(coords, finite_only=True)
 
     def controllable(self) -> bool:
-        return all(self.controllable_at(range(n + 1)) for n in range(self.w + self.l))
+        # Only the longest segment [0, W + L - 1] is checked: the pattern sets
+        # of every shorter segment are projections of its sets, so equality
+        # there, and a defect there, carry over to every shorter segment.
+        return self.controllable_at(range(self.w + self.l))
 
     def weakly_controllable(self) -> bool:
         """Density of the finite-support part: every finite pattern is matched."""
@@ -520,7 +523,7 @@ class WindowOracle:
         return None
 
     def uniformly_controllable(self) -> bool:
-        return all(self.defect(range(n + 1)) is not None for n in range(self.w + self.l))
+        return self.defect(range(self.w + self.l)) is not None
 
     def k_controllable(self, k: int) -> bool:
         if k > self.k_cap:

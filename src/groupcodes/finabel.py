@@ -25,7 +25,8 @@ from .errors import CapExceeded, SchemaMismatch
 from .intlinalg import (
     IntMatrix,
     echelon_mod,
-    kernel_basis,
+    head_kernel,
+    lattice_coefficients,
     lattice_member,
     snf,
 )
@@ -74,9 +75,6 @@ class FiniteAbelianGroup:
             raise CapExceeded(self.order(), cap)
         for coords in itertools.product(*(range(o) for o in self.orders)):
             yield GroupElement(self, coords)
-
-    def concat(self, other: FiniteAbelianGroup) -> FiniteAbelianGroup:
-        return FiniteAbelianGroup(self.orders + other.orders)
 
     def __repr__(self) -> str:
         if not self.orders:
@@ -183,26 +181,18 @@ def subgroup_sum(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def subgroup_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Intersection via the left kernel of the stacked basis matrices.
+    """Intersection as the head kernel of the rows ``(u, u)`` and ``(v, 0)``.
 
-    A vector lies in both lattices exactly when it can be written as
-    ``u @ basis_a`` and ``v @ basis_b``; the pairs ``(u, v)`` with
-    ``u @ basis_a - v @ basis_b == 0`` form the left kernel of the stack.
+    ``u`` runs over ``a``'s basis and ``v`` over ``b``'s, with the group
+    orders on both halves.  A vector ``(0, y)`` of that lattice has
+    ``y`` in ``a`` and ``-y`` in ``b``, and every ``y`` in both arises so.
     """
     _same_parent(a, b)
-    stacked = a.basis.vstack(-b.basis)
-    left_kernel = kernel_basis(stacked.transpose())
-    rows = []
-    for i in range(left_kernel.rows):
-        coeff = left_kernel.row(i)[: a.basis.rows]
-        vec = [0] * a.parent.n
-        for k, c in enumerate(coeff):
-            if c:
-                row = a.basis.row(k)
-                for j in range(a.parent.n):
-                    vec[j] += c * row[j]
-        rows.append(vec)
-    return Subgroup(a.parent, IntMatrix(len(rows), a.parent.n, tuple(itertools.chain.from_iterable(rows))))
+    n = a.parent.n
+    rows = [a.basis.row(i) * 2 for i in range(a.basis.rows)]
+    rows += [b.basis.row(i) + (0,) * n for i in range(b.basis.rows)]
+    orders = a.parent.orders
+    return Subgroup(a.parent, head_kernel(IntMatrix.from_rows(rows, cols=2 * n), orders, orders))
 
 
 def subgroup_equal(a: Subgroup, b: Subgroup) -> bool:
@@ -268,16 +258,18 @@ def image(f: Homomorphism, s: Subgroup) -> Subgroup:
 def preimage(f: Homomorphism, s: Subgroup) -> Subgroup:
     """Full inverse image ``{x : f(x) in s}``.
 
-    Solves ``matrix @ x == basis_s^T @ c`` over the integers and projects the
-    solution lattice onto the ``x`` block; domain relations are restored by
-    Subgroup canonicalisation.
+    The head kernel of the rows ``(f(e_j), e_j)`` and ``(v, 0)`` for ``v``
+    in ``s``'s basis, with the codomain orders on the head and the domain
+    orders on the tail: ``(0, x)`` lies in that lattice exactly when
+    ``f(x)`` lies in ``s``.
     """
     if s.parent != f.codomain:
         raise SchemaMismatch("subgroup outside the codomain")
-    stacked = f.matrix.hstack(-s.basis.transpose())
-    kern = kernel_basis(stacked)
-    flat = tuple(itertools.chain.from_iterable(kern.row(i)[: f.domain.n] for i in range(kern.rows)))
-    return Subgroup(f.domain, IntMatrix(kern.rows, f.domain.n, flat))
+    n = f.domain.n
+    rows = [f.matrix.column(j) + tuple(int(k == j) for k in range(n)) for j in range(n)]
+    rows += [s.basis.row(i) + (0,) * n for i in range(s.basis.rows)]
+    gens = IntMatrix.from_rows(rows, cols=f.codomain.n + n)
+    return Subgroup(f.domain, head_kernel(gens, f.codomain.orders, f.domain.orders))
 
 
 def kernel(f: Homomorphism) -> Subgroup:
@@ -296,28 +288,9 @@ def invariant_factors(s: Subgroup) -> list[int]:
     for j, o in enumerate(s.parent.orders):
         rel = [0] * n
         rel[j] = o
-        coeffs = _echelon_coefficients(s.basis, rel)
-        presentation.append(coeffs)
+        presentation.append(lattice_coefficients(s.basis, rel))
     d = snf(IntMatrix(n, n, tuple(itertools.chain.from_iterable(presentation)))).d
     return [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] > 1]
-
-
-def _echelon_coefficients(basis: IntMatrix, vec: Sequence[int]) -> list[int]:
-    v = list(vec)
-    coeffs = []
-    for i in range(basis.rows):
-        row = basis.row(i)
-        p = next(j for j, x in enumerate(row) if x)
-        if v[p] % row[p]:
-            raise ValueError("vector outside the lattice")
-        q = v[p] // row[p]
-        coeffs.append(q)
-        if q:
-            for k in range(p, basis.cols):
-                v[k] -= q * row[k]
-    if any(v):
-        raise ValueError("vector outside the lattice")
-    return coeffs
 
 
 def enumerate_subgroup(s: Subgroup, cap: int = DEFAULT_ENUM_CAP) -> list[GroupElement]:

@@ -7,14 +7,17 @@ Matrices are immutable; all operations return new values.
 Conventions:
   * hnf is row-style: ``u @ m == h`` with ``u`` unimodular, ``h`` in row
     echelon form, pivots positive, entries above a pivot reduced into
-    ``[0, pivot)``, zero rows collected at the bottom.  Only the kernel and
-    solver routines read ``u``; ``echelon_lattice`` runs the same row
-    elimination without a transform.
+    ``[0, pivot)``, zero rows collected at the bottom.  No routine here
+    reads ``u``; ``echelon_lattice`` runs the same row elimination without
+    a transform.
   * echelon_mod gives the same canonical basis for a lattice that holds
     ``orders[j] * e_j`` for every column: it inserts the generators into
     ``diag(orders)`` one at a time and keeps every entry right of a pivot
     below its column's order, so entries never grow.  The row HNF of a
     lattice is unique, so both routes agree exactly.
+  * head_kernel reads the vectors of such a lattice that vanish on its
+    first columns off the echelon_mod basis; kernels mod moduli, subgroup
+    intersections and preimages are all computed this way.
   * snf satisfies ``l @ m @ r == d`` with ``d`` diagonal, entries
     non-negative, and each diagonal entry dividing the next.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -329,37 +332,6 @@ def det(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Generator rows for the right integer kernel ``{x : m @ x == 0}``.
-
-    Computed from the row HNF of the transpose: rows of the transform that
-    map onto zero rows of the echelon form span the kernel lattice.
-    """
-    res = hnf(m.transpose())
-    rows = [res.u.row(i) for i in range(res.h.rows) if all(x == 0 for x in res.h.row(i))]
-    return _from_int_rows(rows, m.cols)
-
-
-def kernel_mod(a: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
-    """Generator rows of the lattice ``{x : a @ x == 0 (mod moduli)}``.
-
-    ``moduli[i]`` applies to row ``i`` of ``a``; every modulus must be
-    positive.  The result is in canonical row HNF with zero rows dropped.
-    The lattice always contains ``lcm(moduli) * e_j`` for each coordinate,
-    so it has full rank.
-    """
-    if len(moduli) != a.rows:
-        raise ValueError("one modulus per matrix row is required")
-    if any(mod < 1 for mod in moduli):
-        raise ValueError("moduli must be positive")
-    if a.rows == 0:
-        return IntMatrix.identity(a.cols)
-    stacked = a.hstack(IntMatrix.diagonal([-mod for mod in moduli]))
-    full = kernel_basis(stacked)
-    projected = [full.row(i)[: a.cols] for i in range(full.rows)]
-    return echelon_lattice(_from_int_rows(projected, a.cols))
-
-
 def echelon_lattice(m: IntMatrix) -> IntMatrix:
     """Canonical HNF basis of the lattice generated by the rows, zero rows dropped."""
     a = m.to_rows()
@@ -415,6 +387,39 @@ def echelon_mod(gens: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     return _from_int_rows(basis, n)
 
 
+def head_kernel(gens: IntMatrix, head: Sequence[int], tail: Sequence[int]) -> IntMatrix:
+    """Canonical HNF basis of ``{y : (0, y) in lattice}``, the lattice being ``echelon_mod(gens, head + tail)``'s.
+
+    The first ``len(head)`` columns are the head.  A triangular basis of a
+    full-rank lattice has the suffix property: the rows with pivots past
+    the head span exactly the lattice vectors that vanish on the head
+    (Cohen, GTM 138, §2.4).  So the result is the lower-right
+    ``len(tail)``-square block of the basis, already in HNF.
+    """
+    r, n = len(head), len(tail)
+    basis = echelon_mod(gens, list(head) + list(tail))
+    return _from_int_rows([basis.row(i)[r:] for i in range(r, r + n)], n)
+
+
+def kernel_mod(a: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
+    """Generator rows of the lattice ``{x : a @ x == 0 (mod moduli)}``.
+
+    ``moduli[i]`` applies to row ``i`` of ``a``; every modulus must be
+    positive.  The result is in canonical row HNF with zero rows dropped.
+    The lattice always contains ``lcm(moduli) * e_j`` for each coordinate,
+    so it has full rank and is the head kernel of the rows
+    ``(a @ e_j mod moduli, e_j)`` with head orders ``moduli`` and tail
+    orders ``lcm(moduli)``.
+    """
+    if len(moduli) != a.rows:
+        raise ValueError("one modulus per matrix row is required")
+    if any(mod < 1 for mod in moduli):
+        raise ValueError("moduli must be positive")
+    n = a.cols
+    rows = [a.column(j) + tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return head_kernel(_from_int_rows(rows, a.rows + n), moduli, [lcm(*moduli)] * n)
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """``(d, s, t)`` with ``d == gcd(a, b) == s * a + t * b`` for positive ``a``."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -460,57 +465,6 @@ def lattice_coefficients(basis: IntMatrix, vec: Sequence[int]) -> tuple[int, ...
     return tuple(coeffs)
 
 
-def lattice_reduce(basis: IntMatrix, vec: Sequence[int]) -> tuple[int, ...]:
-    """Canonical representative of ``vec`` modulo the row lattice of ``basis``."""
-    if len(vec) != basis.cols:
-        raise ValueError("vector length does not match lattice dimension")
-    v = list(vec)
-    for i in range(basis.rows):
-        row = basis.row(i)
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None:
-            continue
-        q = v[p] // row[p]
-        if q:
-            for k in range(p, basis.cols):
-                v[k] -= q * row[k]
-    return tuple(v)
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Some integer solution of ``a @ x == b``, or None when there is none."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    res = hnf(a.transpose())
-    coeffs = lattice_coefficients(res.h, b)
-    if coeffs is None:
-        return None
-    x = [0] * a.cols
-    for i, c in enumerate(coeffs):
-        if c:
-            row = res.u.row(i)
-            for k in range(a.cols):
-                x[k] += c * row[k]
-    return tuple(x)
-
-
-def solve_mod(a: IntMatrix, b: Sequence[int], moduli: Sequence[int]) -> tuple[int, ...] | None:
-    """Some x with ``a @ x == b (mod moduli)``, reduced against the solution lattice.
-
-    Returns None when the congruence system is unsolvable.
-    """
-    if len(moduli) != a.rows:
-        raise ValueError("one modulus per matrix row is required")
-    if any(mod < 1 for mod in moduli):
-        raise ValueError("moduli must be positive")
-    stacked = a.hstack(IntMatrix.diagonal([-mod for mod in moduli]))
-    sol = solve_integer(stacked, b)
-    if sol is None:
-        return None
-    x = sol[: a.cols]
-    return lattice_reduce(kernel_mod(a, moduli), x)
-
-
 __all__ = [
     "IntMatrix",
     "HnfResult",
@@ -518,14 +472,11 @@ __all__ = [
     "hnf",
     "snf",
     "det",
-    "kernel_basis",
     "kernel_mod",
     "echelon_lattice",
     "echelon_mod",
+    "head_kernel",
     "lattice_member",
     "lattice_coefficients",
-    "lattice_reduce",
-    "solve_integer",
-    "solve_mod",
     "gcd",
 ]

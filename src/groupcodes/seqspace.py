@@ -26,6 +26,7 @@ from .finabel import (
     FiniteAbelianGroup,
     GroupElement,
     Subgroup,
+    direct_sum,
     enumerate_subgroup,
     member,
     span,
@@ -196,10 +197,7 @@ def effective_window(h: ProductSubgroup) -> tuple[int, int]:
 
 
 def ambient_group(schema: CoordSchema, coords: Sequence[int]) -> FiniteAbelianGroup:
-    orders: tuple[int, ...] = ()
-    for i in coords:
-        orders = orders + schema.group_at(i).orders
-    return FiniteAbelianGroup(orders)
+    return direct_sum(schema.group_at(i) for i in coords)
 
 
 def restrict(e: SeqElement, coords: Sequence[int], ambient: FiniteAbelianGroup | None = None) -> GroupElement:
@@ -234,21 +232,12 @@ def _combination_gens(h: ProductSubgroup, coefficients: IntMatrix) -> tuple[SeqE
 
 
 def intersect_directsum(h: ProductSubgroup) -> ProductSubgroup:
-    """The finite-support part: kernel of the map onto the repeating block.
+    """The finite-support part: ``intersect_sum_window(h, range(W))``.
 
     A combination of generators has finite support exactly when its block
     vanishes, and then its support lies inside ``[0, W)``.
     """
-    w, l = effective_window(h)
-    if not h.gens:
-        return ProductSubgroup(h.schema, ())
-    tail_orders = h.schema.tail.orders
-    rows = []
-    for t in range(l):
-        for slot in range(len(tail_orders)):
-            rows.append([g.value_at(w + t).coords[slot] for g in h.gens])
-    coeffs = kernel_mod(IntMatrix(len(rows), len(h.gens), tuple(chain.from_iterable(rows))), list(tail_orders) * l)
-    return ProductSubgroup(h.schema, _combination_gens(h, coeffs))
+    return intersect_sum_window(h, range(effective_window(h)[0]))
 
 
 def intersect_sum_window(h: ProductSubgroup, window: Iterable[int]) -> ProductSubgroup:
@@ -314,14 +303,9 @@ class WindowCodec:
         return SeqElement(self.schema, tuple(vals[: self.w]), tuple(vals[self.w :]))
 
 
-def window_subgroup(h: ProductSubgroup, upto: int = 0) -> tuple[Subgroup, WindowCodec]:
-    """The subgroup as a finite abelian instance over its effective window.
-
-    ``upto`` widens the explicit part so that callers may reason about
-    coordinates beyond the generators' own prefixes.
-    """
+def window_subgroup(h: ProductSubgroup) -> tuple[Subgroup, WindowCodec]:
+    """The subgroup as a finite abelian instance over its effective window."""
     w, l = effective_window(h)
-    w = max(w, upto)
     codec = WindowCodec.for_window(h.schema, w, l)
     return span(codec.ambient, [codec.encode(g) for g in h.gens]), codec
 

@@ -26,8 +26,6 @@ from .seqspace import (
     project,
 )
 
-QZ = Fraction
-
 
 def qz(num: int | Fraction, den: int | None = None) -> Fraction:
     """Canonical point of the rationals mod 1: reduced, in ``[0, 1)``."""
@@ -229,7 +227,6 @@ def noncontrollability_witness(tsub: TorusSeqSubgroup, x: Fraction) -> Verdict:
 
 
 __all__ = [
-    "QZ",
     "qz",
     "qz_order",
     "qz_str",

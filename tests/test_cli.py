@@ -231,6 +231,11 @@ class TestCommands:
         code, text = run(["kcontrol", "--input", str(src), "--kmax", "5000"])
         lines = [f"gap {k}: {'yes' if k >= 2 else 'no'}\n" for k in range(5001)]
         assert text == "".join(lines) + "least working gap: 2\n"
+        # 5001 JSON entries cross a write block of LINES_PER_WRITE
+        results = [{"k": k, "holds": k >= 2} for k in range(5001)]
+        payload = {"results": results, "least_gap": 2, "kmax": 5000}
+        code, text = run(["kcontrol", "--input", str(src), "--kmax", "5000", "--format", "json"])
+        assert (code, text) == (EXIT_OK, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     def test_decompose(self, tmp_path):
         src = tmp_path / "h.txt"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +28,7 @@ from groupcodes.finabel import (
     subgroup_sum,
     trivial,
 )
-from groupcodes.intlinalg import IntMatrix, echelon_lattice
+from groupcodes.intlinalg import IntMatrix, echelon_lattice, kernel_mod, lattice_member
 
 
 def closure(group, gens):
@@ -216,6 +217,87 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
+
+
+KERNEL_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SMALL_ORDERS = st.sampled_from([1, 2, 3, 4, 6])
+BIG_ENTRIES = st.one_of(st.integers(-50, 50), st.integers(-(10**15), 10**15))
+small_groups = st.lists(SMALL_ORDERS, max_size=3).map(lambda orders: FiniteAbelianGroup(tuple(orders)))
+
+
+def gen_lists(group):
+    """Up to three generators of ``group``, possibly none, with unreduced coordinates."""
+    return st.lists(st.tuples(*(BIG_ENTRIES for _ in group.orders)), max_size=3)
+
+
+@st.composite
+def subgroup_pairs(draw):
+    g = draw(small_groups)
+    return g, draw(gen_lists(g)), draw(gen_lists(g))
+
+
+@st.composite
+def homomorphisms(draw):
+    dom, cod = draw(small_groups), draw(small_groups)
+    # entry (i, j) a multiple of cod_i / gcd(dom_j, cod_i), so dom_j * e_j maps to zero
+    rows = [
+        [draw(st.integers(-50, 50)) * (co // _gcd(o, co)) for o in dom.orders] for co in cod.orders
+    ]
+    return Homomorphism(dom, cod, IntMatrix.from_rows(rows, cols=dom.n)), draw(gen_lists(cod))
+
+
+@st.composite
+def congruence_systems(draw):
+    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    moduli = draw(st.lists(SMALL_ORDERS, min_size=r, max_size=r))
+    return IntMatrix(r, c, tuple(draw(st.lists(BIG_ENTRIES, min_size=r * c, max_size=r * c)))), moduli
+
+
+def elements_of(s):
+    return {x.coords for x in enumerate_subgroup(s)}
+
+
+class TestKernelRoutesAgainstEnumeration:
+    """kernel_mod, subgroup_intersect, preimage and kernel, all read off intlinalg.head_kernel."""
+
+    @KERNEL_PROPERTY
+    @given(congruence_systems())
+    @example((IntMatrix(0, 0, ()), []))
+    @example((IntMatrix(2, 0, ()), [4, 6]))
+    @example((IntMatrix(0, 3, ()), []))
+    @example((IntMatrix(2, 2, (10**15, -(10**15) + 1, 1, 1)), [1, 6]))
+    def test_kernel_mod(self, case):
+        a, moduli = case
+        k = kernel_mod(a, moduli)
+        box = lcm(*moduli)
+        assert k.rows == a.cols
+        for x in itertools.product(range(box), repeat=a.cols):
+            solves = all(sum(a[i, j] * x[j] for j in range(a.cols)) % moduli[i] == 0 for i in range(a.rows))
+            assert lattice_member(k, x) == solves
+        for j in range(a.cols):
+            assert lattice_member(k, [box if i == j else 0 for i in range(a.cols)])
+
+    @KERNEL_PROPERTY
+    @given(subgroup_pairs())
+    @example((FiniteAbelianGroup(()), [], []))
+    @example((FiniteAbelianGroup((1, 4)), [], [(7, 2)]))
+    def test_subgroup_intersect(self, case):
+        g, gens_a, gens_b = case
+        a, b = span(g, map(g.element, gens_a)), span(g, map(g.element, gens_b))
+        expected = closure(g, map(g.element, gens_a)) & closure(g, map(g.element, gens_b))
+        assert elements_of(subgroup_intersect(a, b)) == expected
+
+    @KERNEL_PROPERTY
+    @given(homomorphisms())
+    @example((Homomorphism(FiniteAbelianGroup(()), FiniteAbelianGroup((2,)), IntMatrix(1, 0, ())), [(1,)]))
+    @example((Homomorphism(FiniteAbelianGroup((4,)), FiniteAbelianGroup(()), IntMatrix(0, 1, ())), []))
+    def test_preimage_and_kernel(self, case):
+        f, gens_s = case
+        s = span(f.codomain, map(f.codomain.element, gens_s))
+        target = closure(f.codomain, map(f.codomain.element, gens_s))
+        dom = list(f.domain.elements())
+        assert elements_of(preimage(f, s)) == {x.coords for x in dom if f.apply(x).coords in target}
+        assert elements_of(kernel(f)) == {x.coords for x in dom if f.apply(x).is_zero()}
 
 
 class TestInvariantFactors:
