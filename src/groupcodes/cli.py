@@ -591,8 +591,7 @@ def cmd_defect(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_kcontrol(args: argparse.Namespace, out: TextIO) -> int:
     a = Analysis(parse_subgroup(_read_input(args.input)))
     kmax = (a.w + a.l) if args.kmax is None else args.kmax
-    gap = a.gap()
-    idx = gap if gap is not None and gap <= kmax else None
+    gap, idx = a.gap(), a.least_gap(kmax)
 
     def blocks(head: str, line: Callable[[int, bool], str], last: str) -> Iterable[str]:
         yield head

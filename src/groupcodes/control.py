@@ -303,23 +303,16 @@ class Analysis:
             claims.append(EqualityClaim(past + future, basis, basis, n=n, k=k))
         return Verdict(K_CONTROLLABLE, True, Certificate("splice_equality", tuple(claims)), k=k)
 
-    def least_gap(self, k_max: int | None = None) -> tuple[int | None, Verdict | None]:
-        """Least working gap up to the bound with its verdict, or None and the verdict at the bound.
-
-        The verdict is None only for a negative bound, where no gap is tried.
-        """
-        bound = self.w + self.l if k_max is None else k_max
-        if bound < 0:
-            return None, None
+    def least_gap(self, k_max: int | None = None) -> int | None:
+        """Least gap that splices at every cut, or None past the bound (default ``W + L``; none is tried below 0)."""
         gap = self.gap()
-        if gap is None or gap > bound:
-            return None, self.k_controllable(bound)
-        return gap, self.k_controllable(gap)
+        return gap if gap is not None and gap <= (self.w + self.l if k_max is None else k_max) else None
 
     def strongly_controllable(self, k_max: int | None = None) -> Verdict:
-        idx, v = self.least_gap(k_max)
-        if v is None:
-            raise ValueError("gap must be non-negative")
+        """The least gap up to the bound with its splice certificate, or the witness at the bound."""
+        bound = self.w + self.l if k_max is None else k_max
+        idx = self.least_gap(bound)
+        v = self.k_controllable(bound if idx is None else idx)
         return Verdict(STRONGLY_CONTROLLABLE, idx is not None, v.evidence, k=idx)
 
 
@@ -379,7 +372,7 @@ def is_k_controllable(h: ProductSubgroup, k: int) -> Verdict:
 
 def strong_index(h: ProductSubgroup, k_max: int | None = None) -> int | None:
     """Least gap that works at every cut, or None up to ``k_max``."""
-    return Analysis(h).least_gap(k_max)[0]
+    return Analysis(h).least_gap(k_max)
 
 
 def is_strongly_controllable(h: ProductSubgroup, k_max: int | None = None) -> Verdict:
@@ -397,48 +390,75 @@ def hierarchy_consistent(verdicts: dict[str, bool]) -> bool:
     return not any(earlier and not later for earlier, later in zip(known, known[1:]))
 
 
+# The certificate kind and witness variant that each property's evidence must have.
+_EVIDENCE = {
+    WEAKLY_CONTROLLABLE: ("projection_equality", "directsum"),
+    CONTROLLABLE: ("projection_equality", "directsum"),
+    UNIFORMLY_CONTROLLABLE: ("window_equality", "window"),
+    K_CONTROLLABLE: ("splice_equality", "splice"),
+    STRONGLY_CONTROLLABLE: ("splice_equality", "splice"),
+}
+
+
 def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
-    """Re-derive the evidence of a verdict from the subgroup alone."""
+    """Re-derive the evidence of a verdict from the subgroup alone.
+
+    Each property takes one certificate kind and one witness variant.  A
+    certificate must hold the full claim set: one claim per segment
+    ``[0, n - 1]``, ``n = 1..W+L``, or, for the splice kind, one claim per
+    cut ``0..W+L`` at the verdict's gap.  A witness must lie in the outer
+    span and not in the inner one; a window witness needs ``k >= W + L``,
+    and a k-controllability witness the verdict's gap.
+    """
+    if v.property not in _EVIDENCE:
+        return False
+    kind, variant = _EVIDENCE[v.property]
+    top = sum(effective_window(h))
     ev = v.evidence
-    if isinstance(ev, Certificate):
-        return v.holds and all(_verify_claim(h, v.property, c) for c in ev.claims)
     if isinstance(ev, Witness):
-        return (not v.holds) and _verify_witness(h, ev)
-    return False
-
-
-def _verify_claim(h: ProductSubgroup, prop: str, c: EqualityClaim) -> bool:
-    if c.n is not None:
-        joint, product, coords = _splice_spans(h, c.n, c.k or 0)
+        n, k = (ev.n if variant == "splice" else None), (None if variant == "directsum" else ev.k)
+        spans = _spans(h, ev.j, n, k)
         return (
-            coords == c.j
-            and _basis_rows(joint) == c.lhs_basis
-            and _basis_rows(product) == c.rhs_basis
-            and c.lhs_basis == c.rhs_basis
+            not v.holds
+            and ev.variant == variant
+            and spans is not None
+            and (variant != "window" or k is not None and k >= top)
+            and (v.property != K_CONTROLLABLE or k == v.k)
+            and ev.h_proj.parent == spans[0].parent
+            and member(spans[0], ev.h_proj)
+            and not member(spans[1], ev.h_proj)
         )
-    ph = project(h, c.j)
-    if c.k is not None:
-        other = project(intersect_sum_window(h, range(c.k + 1)), c.j)
+    if not (isinstance(ev, Certificate) and v.holds and ev.kind == kind):
+        return False
+    if variant == "splice":
+        full = [(c.n, c.k) for c in ev.claims] == [(n, v.k) for n in range(top + 1)]
     else:
-        other = project(intersect_directsum(h), c.j)
-    return _basis_rows(ph) == c.lhs_basis and _basis_rows(other) == c.rhs_basis and c.lhs_basis == c.rhs_basis
+        segments = [(tuple(range(n)), None, variant == "window") for n in range(1, top + 1)]
+        full = [(c.j, c.n, c.k is not None) for c in ev.claims] == segments
+    return full and all(_claim_holds(h, c) for c in ev.claims)
 
 
-def _verify_witness(h: ProductSubgroup, wit: Witness) -> bool:
-    if wit.variant == "directsum":
-        ph = project(h, wit.j)
-        pd = project(intersect_directsum(h), wit.j)
-        return member(ph, wit.h_proj) and not member(pd, wit.h_proj)
-    if wit.variant == "window":
-        assert wit.k is not None
-        ph = project(h, wit.j)
-        pw = project(intersect_sum_window(h, range(wit.k + 1)), wit.j)
-        return member(ph, wit.h_proj) and not member(pw, wit.h_proj)
-    if wit.variant == "splice":
-        assert wit.n is not None and wit.k is not None
-        joint, product, coords = _splice_spans(h, wit.n, wit.k)
-        return coords == wit.j and member(product, wit.h_proj) and not member(joint, wit.h_proj)
-    return False
+def _claim_holds(h: ProductSubgroup, c: EqualityClaim) -> bool:
+    spans = _spans(h, c.j, c.n, c.k)
+    return spans is not None and c.lhs_basis == c.rhs_basis == _basis_rows(spans[0]) == _basis_rows(spans[1])
+
+
+def _spans(h: ProductSubgroup, j: tuple[int, ...], n: int | None, k: int | None) -> tuple[Subgroup, Subgroup] | None:
+    """The outer and inner span that a claim at ``(j, n, k)`` equates and a witness separates.
+
+    With ``n`` set, the product of the past and future images and the joint
+    span at cut ``n`` with gap ``k``, if ``j`` lists their coordinates;
+    otherwise the projections onto ``j`` of the subgroup and of the part
+    supported on ``[0, k]``, or of the finite-support part when ``k`` is
+    None.  None for a negative or non-integer index.
+    """
+    if (n is not None and k is None) or not all(isinstance(x, int) and x >= 0 for x in (*j, n, k) if x is not None):
+        return None
+    if n is not None:
+        joint, product, coords = _splice_spans(h, n, k)
+        return (product, joint) if coords == j else None
+    inner = intersect_directsum(h) if k is None else intersect_sum_window(h, range(k + 1))
+    return project(h, j), project(inner, j)
 
 
 class WindowOracle:

@@ -28,7 +28,6 @@ from .intlinalg import (
     head_kernel,
     lattice_coefficients,
     lattice_member,
-    snf,
 )
 
 DEFAULT_ENUM_CAP = 10**5
@@ -281,16 +280,32 @@ def invariant_factors(s: Subgroup) -> list[int]:
 
     The subgroup is the quotient of its representative lattice by the
     relation lattice; writing the relations in the lattice basis gives a
-    square presentation matrix whose Smith form lists the factors.
+    square presentation matrix ``P`` whose Smith form lists the factors.
+    ``det P = D = |s|``, so the row lattices of ``P`` and ``P^T`` both hold
+    every ``D * e_j``, and ``echelon_mod`` with orders ``D`` is a row HNF
+    pass with entries below ``D``.  Passes over the matrix and its transpose
+    alternate until it is diagonal (Kannan & Bachem, SIAM J. Comput. 8(4),
+    1979; Hafner & McCurley, SIAM J. Comput. 20(6), 1991); pairwise
+    ``gcd``/``lcm`` then put the diagonal in divisibility order.
     """
     n = s.parent.n
     presentation = []
     for j, o in enumerate(s.parent.orders):
         rel = [0] * n
         rel[j] = o
-        presentation.append(lattice_coefficients(s.basis, rel))
-    d = snf(IntMatrix(n, n, tuple(itertools.chain.from_iterable(presentation)))).d
-    return [d[i, i] for i in range(min(d.rows, d.cols)) if d[i, i] > 1]
+        presentation.extend(lattice_coefficients(s.basis, rel))
+    m, orders = IntMatrix(n, n, tuple(presentation)), [s.order()] * n
+    while True:
+        m = echelon_mod(m, orders)
+        if not any(x for i in range(n) for x in m.row(i)[i + 1 :]):
+            break
+        m = m.transpose()
+    d = [m[i, i] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return [x for x in d if x > 1]
 
 
 def enumerate_subgroup(s: Subgroup, cap: int = DEFAULT_ENUM_CAP) -> list[GroupElement]:

@@ -9,7 +9,7 @@ Conventions:
     echelon form, pivots positive, entries above a pivot reduced into
     ``[0, pivot)``, zero rows collected at the bottom.  No routine here
     reads ``u``; ``echelon_lattice`` runs the same row elimination without
-    a transform.
+    a transform, and ``snf`` alternates it over the matrix and its transpose.
   * echelon_mod gives the same canonical basis for a lattice that holds
     ``orders[j] * e_j`` for every column: it inserts the generators into
     ``diag(orders)`` one at a time and keeps every entry right of a pivot
@@ -116,12 +116,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def hstack(self, other: IntMatrix) -> IntMatrix:
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        flat = tuple(chain.from_iterable(self.row(i) + other.row(i) for i in range(self.rows)))
-        return IntMatrix(self.rows, self.cols + other.cols, flat)
-
     def vstack(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.cols:
             raise ValueError("column counts differ")
@@ -221,90 +215,33 @@ def snf(m: IntMatrix) -> SnfResult:
     """Smith normal form with both unimodular transforms.
 
     Returns ``SnfResult(d, l, r)`` with ``l @ m @ r == d``, ``d`` diagonal,
-    non-negative, and ``d[i][i]`` dividing ``d[i+1][i+1]``.
+    non-negative, and ``d[i][i]`` dividing ``d[i+1][i+1]``.  Row HNF passes
+    over the matrix (into ``l``) and its transpose (into the rows of ``r``'s
+    transpose) alternate until it is diagonal (Kannan & Bachem, SIAM J.
+    Comput. 8(4), 1979).  While an entry ``d_i`` does not divide a later
+    ``d_j``, column ``j`` is added to column ``i`` and the passes go on; a
+    row add would only be reduced away by the next row pass.
     """
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    l = _identity_rows(nr)
-    r = _identity_rows(nc)
-    t = 0
-    while t < nr and t < nc:
-        pivot_pos = _min_nonzero(a, t, nr, nc)
-        if pivot_pos is None:
-            break
-        while True:
-            i0, j0 = _min_nonzero(a, t, nr, nc)  # type: ignore[misc]
-            if i0 != t:
-                a[t], a[i0] = a[i0], a[t]
-                l[t], l[i0] = l[i0], l[t]
-            if j0 != t:
-                _col_swap(a, t, j0)
-                _col_swap(r, t, j0)
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        _row_sub(a, i, t, q)
-                        _row_sub(l, i, t, q)
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        _col_sub(a, j, t, q)
-                        _col_sub(r, j, t, q)
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # Row and column are clear; force the divisibility condition.
-            p = a[t][t]
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _row_add(a, t, offender)
-            _row_add(l, t, offender)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            l[t] = [-x for x in l[t]]
-        t += 1
-    return SnfResult(_from_int_rows(a, nc), _from_int_rows(l, nr), _from_int_rows(r, nc))
+    a, nr, nc = m.to_rows(), m.rows, m.cols
+    l, rt = _identity_rows(nr), _identity_rows(nc)
+    while True:
+        _hermite(a, nc, l)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            a = _transpose(a, nc)
+            _hermite(a, nr, rt)
+            a = _transpose(a, nr)
+            continue
+        d = [a[i][i] for i in range(min(nr, nc))]
+        bad = next(((i, j) for i in range(len(d)) for j in range(i + 1, len(d)) if d[i] and d[j] % d[i]), None)
+        if bad is None:
+            return SnfResult(_from_int_rows(a, nc), _from_int_rows(l, nr), _from_int_rows(_transpose(rt, nc), nc))
+        i, j = bad
+        a[j][i] = d[j]  # column j added to column i; the matrix is diagonal
+        rt[i] = [x + y for x, y in zip(rt[i], rt[j])]
 
 
-def _min_nonzero(a: list[list[int]], t: int, nr: int, nc: int) -> tuple[int, int] | None:
-    best = None
-    for i in range(t, nr):
-        for j in range(t, nc):
-            v = abs(a[i][j])
-            if v and (best is None or v < abs(a[best[0]][best[1]])):
-                best = (i, j)
-    return best
-
-
-def _col_swap(rows: list[list[int]], j0: int, j1: int) -> None:
-    for row in rows:
-        row[j0], row[j1] = row[j1], row[j0]
-
-
-def _col_sub(rows: list[list[int]], j: int, j0: int, q: int) -> None:
-    for row in rows:
-        row[j] -= q * row[j0]
-
-
-def _row_add(rows: list[list[int]], i: int, j: int) -> None:
-    ri, rj = rows[i], rows[j]
-    for k in range(len(ri)):
-        ri[k] += rj[k]
+def _transpose(rows: list[list[int]], cols: int) -> list[list[int]]:
+    return [[row[j] for row in rows] for j in range(cols)]
 
 
 def det(m: IntMatrix) -> int:

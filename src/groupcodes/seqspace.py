@@ -20,7 +20,7 @@ from itertools import chain
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, SchemaMismatch
+from .errors import SchemaMismatch
 from .finabel import (
     DEFAULT_ENUM_CAP,
     FiniteAbelianGroup,

@@ -20,7 +20,6 @@ from .finabel import FiniteAbelianGroup, member
 from .seqspace import (
     CoordSchema,
     ProductSubgroup,
-    SeqElement,
     from_values,
     intersect_directsum,
     project,

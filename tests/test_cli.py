@@ -310,6 +310,13 @@ class TestExitCodes:
         assert done.returncode == EXIT_OK
         assert "strongly_controllable: no\n" in done.stdout
 
+    def test_check_huge_prime_tail(self, tmp_path):
+        src = tmp_path / "h.txt"
+        src.write_text("tail: 1000000000000000003\ngen: 1\ngen: 0 5\n")
+        code, text = run(["check", "--input", str(src)])
+        assert code == EXIT_OK
+        assert text.endswith("invariant factors: [1000000000000000003, 1000000000000000003]\n")
+
 
 class TestReproduce:
     def test_registry_complete(self):

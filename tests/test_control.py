@@ -1,6 +1,7 @@
 """Hierarchy deciders against the enumeration oracle, plus certificates."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,6 +11,8 @@ from groupcodes.control import (
     STRONGLY_CONTROLLABLE,
     UNIFORMLY_CONTROLLABLE,
     WEAKLY_CONTROLLABLE,
+    Analysis,
+    Certificate,
     Verdict,
     WindowOracle,
     Witness,
@@ -28,6 +31,7 @@ from groupcodes.control import (
     with_full_past,
 )
 from groupcodes.errors import CapExceeded
+from groupcodes.families import block_family, dense_trivial_sum_family
 from groupcodes.finabel import FiniteAbelianGroup
 from groupcodes.seqspace import (
     CoordSchema,
@@ -357,3 +361,54 @@ def elem_with(schema, i):
     g = schema.tail
     vals = [g.zero()] * i + [g.element((1, 1))]
     return from_values(schema, vals)
+
+
+BLOCK = block_family(2, (2, 3))  # controllable and uniform, least gap 2
+DENSE = dense_trivial_sum_family(FiniteAbelianGroup((2,)), 3, 12)  # not even weakly controllable
+
+
+class TestForgedEvidence:
+    def test_engine_verdicts_verify(self):
+        for h in (BLOCK, DENSE):
+            a = Analysis(h)
+            verdicts = [a.controllable(), a.uniformly_controllable(), a.strongly_controllable()]
+            verdicts += [a.k_controllable(k) for k in range(4)] + [a.strongly_controllable(k) for k in range(4)]
+            assert all(verify_verdict(h, v) for v in verdicts)
+
+    def test_splice_witness_does_not_refute_controllability(self):
+        wit = is_k_controllable(BLOCK, 0).evidence
+        assert verify_verdict(BLOCK, is_k_controllable(BLOCK, 0))
+        assert not verify_verdict(BLOCK, Verdict(CONTROLLABLE, False, wit))
+        assert not verify_verdict(BLOCK, Verdict(UNIFORMLY_CONTROLLABLE, False, wit))
+
+    @pytest.mark.parametrize("prop", [WEAKLY_CONTROLLABLE, CONTROLLABLE, UNIFORMLY_CONTROLLABLE])
+    @pytest.mark.parametrize("kind", ["projection_equality", "window_equality", "splice_equality", "oracle"])
+    def test_empty_certificate(self, prop, kind):
+        assert not verify_verdict(DENSE, Verdict(prop, True, Certificate(kind, ())))
+
+    def test_strong_verdict_below_least_gap(self):
+        uniform = is_uniformly_controllable(BLOCK)
+        assert verify_verdict(BLOCK, uniform)
+        assert not verify_verdict(BLOCK, Verdict(STRONGLY_CONTROLLABLE, True, uniform.evidence, k=0))
+        at_gap = is_k_controllable(BLOCK, 2)
+        assert verify_verdict(BLOCK, Verdict(STRONGLY_CONTROLLABLE, True, at_gap.evidence, k=2))
+        assert not verify_verdict(BLOCK, Verdict(STRONGLY_CONTROLLABLE, True, at_gap.evidence, k=0))
+        assert not verify_verdict(BLOCK, Verdict(STRONGLY_CONTROLLABLE, True, at_gap.evidence, k=None))
+
+    def test_k_verdict_needs_evidence_at_its_gap(self):
+        assert not verify_verdict(BLOCK, replace(is_k_controllable(BLOCK, 2), k=3))
+        assert not verify_verdict(BLOCK, replace(is_k_controllable(BLOCK, 0), k=1))
+
+    def test_window_witness_needs_the_whole_window(self):
+        v = is_uniformly_controllable(DENSE)
+        w, l = effective_window(DENSE)
+        assert verify_verdict(DENSE, v) and v.evidence.k == w + l
+        for k in (None, w + l - 1, -1):
+            assert not verify_verdict(DENSE, replace(v, evidence=replace(v.evidence, k=k)))
+
+    def test_truncated_claim_set(self):
+        for v in (is_controllable(BLOCK), is_uniformly_controllable(BLOCK), is_k_controllable(BLOCK, 2)):
+            claims = v.evidence.claims
+            assert len(claims) > 1
+            for cut in (claims[:-1], claims[1:], claims[::-1]):
+                assert not verify_verdict(BLOCK, replace(v, evidence=replace(v.evidence, claims=cut)))

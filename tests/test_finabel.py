@@ -2,7 +2,8 @@
 
 import itertools
 import random
-from math import lcm
+from collections import Counter
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from groupcodes.finabel import (
     subgroup_sum,
     trivial,
 )
-from groupcodes.intlinalg import IntMatrix, echelon_lattice, kernel_mod, lattice_member
+from groupcodes.intlinalg import IntMatrix, echelon_lattice, kernel_mod, lattice_coefficients, lattice_member, snf
 
 
 def closure(group, gens):
@@ -365,3 +366,44 @@ class TestEnumeration:
         g = FiniteAbelianGroup((4, 4, 4))
         with pytest.raises(CapExceeded):
             enumerate_subgroup(full(g), cap=10)
+
+
+HUGE_PRIMES = (10**18 + 3, 2**61 - 1)
+FACTOR_ORDERS = st.one_of(st.sampled_from((1, 2, 4, 6, 8, 12, 36) + HUGE_PRIMES), st.integers(1, 30))
+
+
+@st.composite
+def finite_subgroups(draw):
+    """Up to four factors, possibly none or of order 1, and up to three generators, possibly none."""
+    g = FiniteAbelianGroup(tuple(draw(st.lists(FACTOR_ORDERS, max_size=4))))
+    gens = draw(st.lists(st.tuples(*(BIG_ENTRIES for _ in g.orders)), max_size=3))
+    return Subgroup(g, IntMatrix(len(gens), g.n, tuple(itertools.chain.from_iterable(gens))))
+
+
+def presentation(s):
+    """The relations ``orders[j] * e_j`` written in the subgroup's basis, one row each."""
+    n = s.parent.n
+    rels = ([o if i == j else 0 for i in range(n)] for j, o in enumerate(s.parent.orders))
+    return IntMatrix(n, n, tuple(itertools.chain.from_iterable(lattice_coefficients(s.basis, r) for r in rels)))
+
+
+def element_orders(factors):
+    """The multiset of element orders of ``Z/d_1 + ... + Z/d_r``."""
+    elements = itertools.product(*map(range, factors))
+    return Counter(lcm(*(d // _gcd(x, d) for x, d in zip(xs, factors))) for xs in elements)
+
+
+class TestInvariantFactorProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(finite_subgroups())
+    @example(Subgroup(FiniteAbelianGroup(()), IntMatrix(0, 0, ())))
+    @example(Subgroup(FiniteAbelianGroup((1, 1)), IntMatrix(0, 2, ())))
+    @example(Subgroup(FiniteAbelianGroup(HUGE_PRIMES), IntMatrix(1, 2, (1, 1))))
+    @example(Subgroup(FiniteAbelianGroup((10**18 + 3, 10**18 + 3)), IntMatrix.identity(2)))
+    def test_matches_smith_form_of_presentation(self, s):
+        factors = invariant_factors(s)
+        d = snf(presentation(s)).d
+        assert factors == [d[i, i] for i in range(s.parent.n) if d[i, i] > 1]
+        assert prod(factors) == s.order()
+        if s.order() <= 400:
+            assert element_orders(factors) == Counter(x.order() for x in enumerate_subgroup(s))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -285,3 +286,46 @@ class TestKernelProperties:
     def test_echelon_mod_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             echelon_mod(IntMatrix.zeros(1, 2), [2, 3, 4])
+
+
+def determinantal_diagonal(m: IntMatrix) -> IntMatrix:
+    """The Smith form from the determinantal divisors: ``d_k = D_k / D_(k-1)``.
+
+    ``D_k`` is the gcd of the ``k x k`` minors, each computed by ``det``, so
+    this reference runs no Hermite or Smith elimination.
+    """
+    diag, prev = [], 1
+    for k in range(1, min(m.rows, m.cols) + 1):
+        dk = 0
+        for rs in itertools.combinations(range(m.rows), k):
+            for cs in itertools.combinations(range(m.cols), k):
+                dk = gcd(dk, det(IntMatrix.from_rows([[m[i, j] for j in cs] for i in rs], cols=k)))
+        diag.append(dk // prev if dk else 0)
+        prev = dk or 1
+    entries = (diag[i] if i == j else 0 for i in range(m.rows) for j in range(m.cols))
+    return IntMatrix(m.rows, m.cols, tuple(entries))
+
+
+SMALL_ENTRIES = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**6), 10**6))
+
+
+@st.composite
+def small_matrices(draw):
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return IntMatrix(r, c, tuple(draw(st.lists(SMALL_ENTRIES, min_size=r * c, max_size=r * c))))
+
+
+class TestSnfProperties:
+    @PROPERTY
+    @given(small_matrices())
+    @example(IntMatrix(0, 3, ()))
+    @example(IntMatrix(3, 0, ()))
+    @example(IntMatrix.from_rows([[2, 4], [3, 6]]))
+    @example(IntMatrix.from_rows([[6, 0, 0], [0, 10, 0], [0, 0, 15]]))
+    @example(IntMatrix.from_rows([[0, 0, 4], [0, 0, 6], [0, 0, 0]]))
+    def test_diagonal_is_determinantal(self, m):
+        res = snf(m)
+        assert res.d == determinantal_diagonal(m)
+        assert res.l @ m @ res.r == res.d
+        assert m.rows == 0 or abs(det(res.l)) == 1
+        assert m.cols == 0 or abs(det(res.r)) == 1
