@@ -718,16 +718,13 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
         # Argument types raise ParseError, which argparse passes through.
         args = parser.parse_args(argv)
         return args.func(args, out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ChainNotStrict, PreconditionFailed, SchemaMismatch, UnicodeDecodeError) as exc:
+    except (ParseError, ChainNotStrict, PreconditionFailed, SchemaMismatch, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:

@@ -80,6 +80,7 @@ CONTROLLABLE = "controllable"
 UNIFORMLY_CONTROLLABLE = "uniformly_controllable"
 K_CONTROLLABLE = "k_controllable"
 STRONGLY_CONTROLLABLE = "strongly_controllable"
+CONTROLLABLE_AT = "controllable_at"
 
 ORACLE_CAP = 10**4
 
@@ -219,10 +220,10 @@ class Analysis:
         pd = self._project(self.w + self.l, coords)
         if subgroup_equal(ph, pd):
             claim = EqualityClaim(coords, _basis_rows(ph), _basis_rows(pd))
-            return Verdict(CONTROLLABLE, True, Certificate("projection_equality", (claim,)))
+            return Verdict(CONTROLLABLE_AT, True, Certificate("projection_equality", (claim,)))
         x = _separating_element(ph, pd)
         context = "pattern of the subgroup with no finite-support match"
-        return Verdict(CONTROLLABLE, False, Witness(coords, x, "directsum", context=context))
+        return Verdict(CONTROLLABLE_AT, False, Witness(coords, x, "directsum", context=context))
 
     def controllable(self) -> Verdict:
         """Initial segments ``[0, n]``, ``n < W + L``, decide every finite coordinate set.
@@ -235,7 +236,7 @@ class Analysis:
         for n in range(w + l):
             v = self.controllable_at(range(n + 1))
             if not v.holds:
-                return v
+                return replace(v, property=CONTROLLABLE)
             assert isinstance(v.evidence, Certificate)
             claims.extend(v.evidence.claims)
         note = f"initial segments up to {w + l - 1} cover all finite coordinate sets at window ({w}, {l})"
@@ -394,6 +395,7 @@ def hierarchy_consistent(verdicts: dict[str, bool]) -> bool:
 _EVIDENCE = {
     WEAKLY_CONTROLLABLE: ("projection_equality", "directsum"),
     CONTROLLABLE: ("projection_equality", "directsum"),
+    CONTROLLABLE_AT: ("projection_equality", "directsum"),
     UNIFORMLY_CONTROLLABLE: ("window_equality", "window"),
     K_CONTROLLABLE: ("splice_equality", "splice"),
     STRONGLY_CONTROLLABLE: ("splice_equality", "splice"),
@@ -406,7 +408,8 @@ def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
     Each property takes one certificate kind and one witness variant.  A
     certificate must hold the full claim set: one claim per segment
     ``[0, n - 1]``, ``n = 1..W+L``, or, for the splice kind, one claim per
-    cut ``0..W+L`` at the verdict's gap.  A witness must lie in the outer
+    cut ``0..W+L`` at the verdict's gap; a verdict at one coordinate set
+    holds one projection claim.  A witness must lie in the outer
     span and not in the inner one; a window witness needs ``k >= W + L``,
     and a k-controllability witness the verdict's gap.
     """
@@ -430,7 +433,9 @@ def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
         )
     if not (isinstance(ev, Certificate) and v.holds and ev.kind == kind):
         return False
-    if variant == "splice":
+    if v.property == CONTROLLABLE_AT:
+        full = [(c.n, c.k) for c in ev.claims] == [(None, None)]
+    elif variant == "splice":
         full = [(c.n, c.k) for c in ev.claims] == [(n, v.k) for n in range(top + 1)]
     else:
         segments = [(tuple(range(n)), None, variant == "window") for n in range(1, top + 1)]
@@ -464,64 +469,55 @@ def _spans(h: ProductSubgroup, j: tuple[int, ...], n: int | None, k: int | None)
 class WindowOracle:
     """Ground truth by exhaustive enumeration over the effective window.
 
-    Elements are expanded to flat residue tuples over ``[0, horizon)`` and
-    every property is evaluated by set comparisons on those tuples, with no
-    lattice computations involved.
+    Every element is determined by its values on the window ``[0, W + L)``,
+    and past ``W`` it repeats its block, so it is stored as one flat residue
+    tuple over the window; coordinate ``i >= W + L`` reads ``W + (i - W) % L``,
+    as ``SeqElement.value_at`` does.  The values from any coordinate
+    ``s >= W`` on determine the values from ``W`` on, and are determined by
+    them, so "the values from ``n`` on" is the slice from coordinate
+    ``min(n, W)``: a future, a reconnection point or a support bound past
+    ``W`` adds nothing.  Every property is a comparison of sets of slices;
+    no lattice computation is involved.
     """
 
-    def __init__(self, h: ProductSubgroup, cap: int = ORACLE_CAP, k_cap: int | None = None):
-        self.h = h
-        w, l = effective_window(h)
-        self.w, self.l = w, l
-        self.k_cap = (w + l) if k_cap is None else k_cap
-        self.horizon = w + l + self.k_cap + l
-        schema = h.schema
-        self.offsets = [0]
-        orders: list[int] = []
-        for i in range(self.horizon):
-            orders.extend(schema.group_at(i).orders)
-            self.offsets.append(len(orders))
-        self.orders = tuple(orders)
-        gens = [self._expand(g) for g in h.gens]
-        zero = (0,) * len(self.orders)
-        elems = {zero}
-        queue = [zero]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = tuple((a + b) % o for a, b, o in zip(x, g, self.orders))
-                if y not in elems:
-                    if len(elems) >= cap:
-                        raise CapExceeded(len(elems) + 1, cap)
-                    elems.add(y)
-                    queue.append(y)
+    def __init__(self, h: ProductSubgroup, cap: int = ORACLE_CAP):
+        self.w, self.l = w, l = effective_window(h)
+        groups = [h.schema.group_at(i) for i in range(w + l)]
+        orders = [o for g in groups for o in g.orders]
+        self.offsets = list(accumulate((g.n for g in groups), initial=0))
+        # Zero is always stored, so a cap below 1 refuses the second element.
+        bound = max(cap, 1)
+        elems = {(0,) * len(orders)}
+        for g in h.gens:
+            step = tuple(c for i in range(w + l) for c in g.value_at(i).coords)
+            new = elems
+            while new:
+                new = {tuple((a + b) % o for a, b, o in zip(x, step, orders)) for x in new} - elems
+                elems |= new
+                if len(elems) > bound:
+                    raise CapExceeded(bound + 1, cap)
         self.elements = sorted(elems)
 
-    def _expand(self, e: SeqElement) -> tuple[int, ...]:
-        flat: list[int] = []
-        for i in range(self.horizon):
-            flat.extend(e.value_at(i).coords)
-        return tuple(flat)
+    def _from(self, n: int) -> int:
+        """Start of the slice that holds the values from coordinate ``n`` on."""
+        return self.offsets[min(n, self.w)]
 
-    def _slice(self, x: tuple[int, ...], coords: Iterable[int]) -> tuple[int, ...]:
-        out: list[int] = []
+    def patterns(self, coords: Sequence[int], within: int | None = None) -> set[tuple[int, ...]]:
+        """Values on ``coords`` of every element, or of those supported inside ``[0, within]``."""
+        w, l = self.w, self.l
+        cols = []
         for i in coords:
-            out.extend(x[self.offsets[i] : self.offsets[i + 1]])
-        return tuple(out)
-
-    def _finite_support(self, x: tuple[int, ...]) -> bool:
-        return all(v == 0 for v in x[self.offsets[self.w] :])
-
-    def _supported_within(self, x: tuple[int, ...], k: int) -> bool:
-        return all(v == 0 for v in x[self.offsets[k + 1] :])
-
-    def patterns(self, coords: Sequence[int], finite_only: bool = False) -> set[tuple[int, ...]]:
-        pool = (x for x in self.elements if self._finite_support(x)) if finite_only else self.elements
-        return {self._slice(x, coords) for x in pool}
+            i = i if i < w + l else w + (i - w) % l
+            cols.extend(range(self.offsets[i], self.offsets[i + 1]))
+        pool = self.elements
+        if within is not None:
+            start = self._from(within + 1)
+            pool = [x for x in pool if not any(x[start:])]
+        return {tuple(x[c] for c in cols) for x in pool}
 
     def controllable_at(self, j: Iterable[int]) -> bool:
         coords = sorted(set(j))
-        return self.patterns(coords) == self.patterns(coords, finite_only=True)
+        return self.patterns(coords) == self.patterns(coords, within=self.w - 1)
 
     def controllable(self) -> bool:
         # Only the longest segment [0, W + L - 1] is checked: the pattern sets
@@ -536,47 +532,34 @@ class WindowOracle:
     def defect(self, j: Iterable[int]) -> int | None:
         coords = sorted(set(j))
         target = self.patterns(coords)
-        for k in range(self.w + self.l + 1):
-            sub = {self._slice(x, coords) for x in self.elements if self._supported_within(x, k)}
-            if sub == target:
-                return k
-        return None
+        return next((k for k in range(self.w + self.l + 1) if self.patterns(coords, within=k) == target), None)
 
     def uniformly_controllable(self) -> bool:
         return self.defect(range(self.w + self.l)) is not None
 
+    def _splices(self, n: int, m: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The pair (values before ``n``, values from ``m`` on) of every element."""
+        cut, start = self.offsets[n], self._from(m)
+        return {(x[:cut], x[start:]) for x in self.elements}
+
     def k_controllable(self, k: int) -> bool:
-        if k > self.k_cap:
-            raise ValueError("gap exceeds the oracle's expansion horizon")
-        for n in range(self.w + self.l + 1):
-            cut, start = self.offsets[n], self.offsets[n + k]
-            pasts = {x[:cut] for x in self.elements}
-            futures = {x[start:] for x in self.elements}
-            joint = {(x[:cut], x[start:]) for x in self.elements}
-            if len(joint) != len(pasts) * len(futures):
-                return False
-        return True
+        if k < 0:
+            raise ValueError("gap must be non-negative")
+        return all(_every_past_joins_every_future(self._splices(n, n + k)) for n in range(self.w + self.l + 1))
 
     def strong_index(self, k_max: int | None = None) -> int | None:
-        bound = self.k_cap if k_max is None else min(k_max, self.k_cap)
-        for k in range(bound + 1):
-            if self.k_controllable(k):
-                return k
-        return None
+        bound = self.w + self.l if k_max is None else min(k_max, self.w + self.l)
+        return next((k for k in range(bound + 1) if self.k_controllable(k)), None)
 
     def _reconnection_points(self, n: int) -> range:
-        return range(n, self.horizon - self.l + 1)
+        return range(n, max(n, self.w) + 1)
 
     def controllable_splice(self) -> bool:
         """Pair-by-pair splicing with a free reconnection point."""
         for n in range(self.w + self.l + 1):
             cut = self.offsets[n]
-            joints = [
-                (self.offsets[m], {(g[: cut], g[self.offsets[m] :]) for g in self.elements})
-                for m in self._reconnection_points(n)
-            ]
-            for hx in self.elements:
-                past = hx[:cut]
+            joints = [(self._from(m), self._splices(n, m)) for m in self._reconnection_points(n)]
+            for past in {x[:cut] for x in self.elements}:
                 for hy in self.elements:
                     if not any((past, hy[start:]) in joint for start, joint in joints):
                         return False
@@ -584,26 +567,20 @@ class WindowOracle:
 
     def uniform_splice(self) -> bool:
         """One reconnection point per cut that serves every pair."""
-        for n in range(self.w + self.l + 1):
-            cut = self.offsets[n]
-            pasts = {x[:cut] for x in self.elements}
-            ok = False
-            for m in self._reconnection_points(n):
-                start = self.offsets[m]
-                futures = {x[start:] for x in self.elements}
-                joint = {(g[:cut], g[start:]) for g in self.elements}
-                if len(joint) == len(pasts) * len(futures):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+        return all(
+            any(_every_past_joins_every_future(self._splices(n, m)) for m in self._reconnection_points(n))
+            for n in range(self.w + self.l + 1)
+        )
+
+
+def _every_past_joins_every_future(joint: set[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
+    return len(joint) == len({p for p, _ in joint}) * len({f for _, f in joint})
 
 
 def oracle_check(h: ProductSubgroup, prop: str, params: dict | None = None, cap: int = ORACLE_CAP) -> Verdict:
     """Evaluate one property by exhaustive enumeration; the reference answer."""
     params = dict(params or {})
-    oracle = WindowOracle(h, cap=cap, k_cap=params.get("k"))
+    oracle = WindowOracle(h, cap=cap)
     note = "exhaustive enumeration over the effective window"
     if prop == CONTROLLABLE:
         holds = oracle.controllable()
@@ -615,7 +592,7 @@ def oracle_check(h: ProductSubgroup, prop: str, params: dict | None = None, cap:
         holds = oracle.k_controllable(params["k"])
     elif prop == STRONGLY_CONTROLLABLE:
         holds = oracle.strong_index(params.get("k_max")) is not None
-    elif prop == "controllable_at":
+    elif prop == CONTROLLABLE_AT:
         holds = oracle.controllable_at(params["j"])
     else:
         raise ValueError(f"unknown property {prop!r}")
@@ -664,6 +641,7 @@ __all__ = [
     "UNIFORMLY_CONTROLLABLE",
     "K_CONTROLLABLE",
     "STRONGLY_CONTROLLABLE",
+    "CONTROLLABLE_AT",
     "ORACLE_CAP",
     "Witness",
     "EqualityClaim",

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from groupcodes.cli import build_report
 from groupcodes.control import (
+    K_CONTROLLABLE,
     Analysis,
     WindowOracle,
     _splice_spans,
+    controllable_at,
     is_k_controllable,
+    oracle_check,
     strong_index,
     uniformity_defect,
     verify_verdict,
@@ -22,9 +25,11 @@ from groupcodes.seqspace import (
     SeqElement,
     constant,
     effective_window,
+    enumerate_elements,
     intersect_directsum,
     intersect_sum_window,
     project,
+    subgroup_order,
     uniform_schema,
     window_subgroup,
 )
@@ -183,3 +188,73 @@ def test_engine_agrees_with_enumeration(h):
         assert (defects[n - 1] if n <= len(defects) else None) == oracle.defect(range(n))
     assert a.gap() == oracle.strong_index()
     assert a.controllable().holds == oracle.controllable()
+
+
+def _oracle(h, cap):
+    try:
+        return WindowOracle(h, cap=cap)
+    except CapExceeded:
+        assume(False)
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_oracle_answers_every_gap(h):
+    oracle = _oracle(h, 3000)
+    w, l = effective_window(h)
+    a = Analysis(h)
+    for k in range(2 * (w + l) + 2):
+        holds = a.k_controllable(k).holds
+        assert oracle.k_controllable(k) == holds
+        assert oracle_check(h, K_CONTROLLABLE, {"k": k}).holds == holds
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_oracle_splices_as_the_definition_on_a_long_horizon(h):
+    # Each element listed on [0, T) with T = 5 (W + L) + 2, which leaves a
+    # whole block after every future start and reconnection point used below.
+    oracle = _oracle(h, 60)
+    w, l = effective_window(h)
+    horizon = 5 * (w + l) + 2
+    elems = [tuple(e.value_at(i).coords for i in range(horizon)) for e in enumerate_elements(h)]
+    assert len(elems) == len(oracle.elements)
+
+    def joint(n, m):
+        return {(x[:n], x[m:]) for x in elems}
+
+    def splices(n, m):
+        pairs = joint(n, m)
+        return pairs == {(p, f) for p, _ in pairs for _, f in pairs}
+
+    cuts = range(w + l + 1)
+    for k in range(2 * (w + l) + 2):
+        assert oracle.k_controllable(k) == all(splices(n, n + k) for n in cuts)
+    points = {n: range(n, horizon - l + 1) for n in cuts}
+    assert oracle.uniform_splice() == all(any(splices(n, m) for m in points[n]) for n in cuts)
+    pairwise = all(
+        any((x[:n], y[m:]) in joint(n, m) for m in points[n]) for n in cuts for x in elems for y in elems
+    )
+    assert oracle.controllable_splice() == pairwise
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_oracle_cap_is_the_subgroup_order(h):
+    order = subgroup_order(h)
+    assume(1 < order <= 3000)
+    assert len(WindowOracle(h, cap=order).elements) == order
+    with pytest.raises(CapExceeded) as exc:
+        WindowOracle(h, cap=order - 1)
+    assert str(exc.value) == f"enumeration needs {order} elements, cap is {order - 1}"
+    # The zero element is always stored, so a cap of 0 refuses the second element.
+    with pytest.raises(CapExceeded, match="^enumeration needs 2 elements, cap is 0$"):
+        WindowOracle(h, cap=0)
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_verdicts_at_one_coordinate_set_replay(h):
+    w, l = effective_window(h)
+    for j in [range(n) for n in range(1, w + l + 1)] + [(w,), (0, w + l)]:
+        assert verify_verdict(h, controllable_at(h, j))

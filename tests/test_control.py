@@ -1,12 +1,16 @@
 """Hierarchy deciders against the enumeration oracle, plus certificates."""
 
+import ast
+import inspect
 import random
 from dataclasses import replace
 
 import pytest
 
+from groupcodes import control
 from groupcodes.control import (
     CONTROLLABLE,
+    CONTROLLABLE_AT,
     K_CONTROLLABLE,
     STRONGLY_CONTROLLABLE,
     UNIFORMLY_CONTROLLABLE,
@@ -351,10 +355,19 @@ class TestOracleInternals:
         with pytest.raises(CapExceeded):
             WindowOracle(h, cap=5)
 
-    def test_gap_beyond_horizon_rejected(self):
+    def test_negative_gap_rejected(self):
         h, oracle = CORPUS[0]
         with pytest.raises(ValueError):
-            oracle.k_controllable(oracle.k_cap + 1)
+            oracle.k_controllable(-1)
+
+    def test_oracle_is_lattice_free(self):
+        tree = ast.parse(inspect.getsource(control))
+        (body,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "WindowOracle"]
+        names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+        lattice = {"echelon_mod", "Subgroup", "span", "member", "subgroup_equal", "project", "kernel_mod"}
+        lattice |= {"head_kernel", "IntMatrix", "Analysis"}
+        assert sorted(n for n in names if n in lattice or n.startswith("intersect_")) == []
 
 
 def elem_with(schema, i):
@@ -412,3 +425,29 @@ class TestForgedEvidence:
             assert len(claims) > 1
             for cut in (claims[:-1], claims[1:], claims[::-1]):
                 assert not verify_verdict(BLOCK, replace(v, evidence=replace(v.evidence, claims=cut)))
+
+
+class TestControllableAtEvidence:
+    def test_every_verdict_at_a_segment_replays(self):
+        assert controllable_at(BLOCK, (0,)).holds and not controllable_at(DENSE, (0,)).holds
+        for h in (BLOCK, DENSE):
+            w, l = effective_window(h)
+            verdicts = [controllable_at(h, range(n)) for n in range(1, w + l + 1)]
+            assert {v.property for v in verdicts} == {CONTROLLABLE_AT}
+            assert all(verify_verdict(h, v) for v in verdicts)
+
+    def test_one_claim_does_not_certify_controllability(self):
+        v = controllable_at(BLOCK, (0,))
+        assert not verify_verdict(BLOCK, replace(v, property=CONTROLLABLE))
+        assert not verify_verdict(BLOCK, replace(v, property=WEAKLY_CONTROLLABLE))
+
+    def test_claim_must_be_one_plain_projection(self):
+        v = controllable_at(BLOCK, (0, 1))
+        (claim,) = v.evidence.claims
+        for claims in ((), (claim, claim), (replace(claim, k=0),), (replace(claim, n=1, k=0),)):
+            assert not verify_verdict(BLOCK, replace(v, evidence=replace(v.evidence, claims=claims)))
+
+    def test_early_failure_keeps_the_controllable_label(self):
+        v = is_controllable(DENSE)
+        assert not v.holds and v.property == CONTROLLABLE
+        assert verify_verdict(DENSE, v)
