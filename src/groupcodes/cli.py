@@ -59,7 +59,7 @@ from .families import (
     torsion_torus_example,
     z2_power_chain,
 )
-from .finabel import FiniteAbelianGroup, subgroup_equal
+from .finabel import FiniteAbelianGroup, invariant_factors, subgroup_equal
 from .seqspace import (
     CoordSchema,
     ProductSubgroup,
@@ -282,7 +282,7 @@ def build_report(h: ProductSubgroup, kmax: int | None = None) -> dict:
         "verdicts": [_verdict_json(v) for v in verdicts],
         "certificates": [_evidence_json(v.evidence) for v in verdicts],
         "defect_profile": _profile_json(a.uniformity_defect((0,))),
-        "invariant_factors": list(decompose(h, a.window).factors),
+        "invariant_factors": invariant_factors(a.window),
     }
     validate_report(report)
     return report

@@ -33,6 +33,12 @@ the columns of ``W + (i - W) % L``, the block coordinate it repeats.  An
 equality of projections onto ``[0, n]`` holds on ``[0, n - 1]`` too, so
 segment defects never decrease.
 
+Plain and uniform controllability read the same defects: the segment
+``[0, n - 1]`` holds exactly when ``d(n)`` is not None, and the first None is
+the first failing segment.  Elements are determined on ``[0, W + L)``, so weak,
+plain and uniform controllability all hold exactly when ``H`` lies in the
+direct sum of the ``G_i``: when every generator's repeating block is zero.
+
 Strong and k-controllability are read off the defects ``d(n)`` of the
 segments ``[0, n - 1]``.  A cut splices exactly when every past pattern
 joins the zero future, and an element of ``H`` that vanishes on the future
@@ -152,10 +158,10 @@ def _basis_rows(s: Subgroup) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s.basis.row(i)) for i in range(s.basis.rows))
 
 
-def _separating_element(larger: Subgroup, smaller: Subgroup) -> GroupElement:
-    """An element of ``larger`` outside ``smaller`` (requires smaller < larger)."""
-    for i in range(larger.basis.rows):
-        x = larger.parent.element(larger.basis.row(i))
+def _separating_element(larger: tuple[tuple[int, ...], ...], smaller: Subgroup) -> GroupElement:
+    """A basis row of the larger subgroup outside ``smaller`` (requires smaller < larger)."""
+    for row in larger:
+        x = smaller.parent.element(row)
         if not member(smaller, x):
             return x
     raise InternalInconsistency("no separating basis element between unequal subgroups")
@@ -168,12 +174,14 @@ class Analysis:
     columns laid out last coordinate first, and one ``echelon_mod`` gives
     the triangular basis of all their representatives.  Window parts and
     projections are column slices of the generator rows or of a tail of
-    that basis; they and the segment defects are memoised.  An instance
-    serves one call; nothing is cached across instances.
+    that basis; they and the segment defects are memoised.  The plain,
+    uniform, k- and strong verdicts all read ``segment_defects``; the first
+    None there is the first failing segment.  The subgroup itself is read
+    only while encoding.  An instance serves one call; nothing is cached
+    across instances.
     """
 
     def __init__(self, h: ProductSubgroup):
-        self.h = h
         self.w, self.l = effective_window(h)
         coords = range(self.w + self.l - 1, -1, -1)
         groups = [h.schema.group_at(i) for i in coords]
@@ -218,10 +226,11 @@ class Analysis:
         coords = tuple(sorted(set(j)))
         ph = self._project(None, coords)
         pd = self._project(self.w + self.l, coords)
+        basis = _basis_rows(ph)
         if subgroup_equal(ph, pd):
-            claim = EqualityClaim(coords, _basis_rows(ph), _basis_rows(pd))
+            claim = EqualityClaim(coords, basis, basis)
             return Verdict(CONTROLLABLE_AT, True, Certificate("projection_equality", (claim,)))
-        x = _separating_element(ph, pd)
+        x = _separating_element(basis, pd)
         context = "pattern of the subgroup with no finite-support match"
         return Verdict(CONTROLLABLE_AT, False, Witness(coords, x, "directsum", context=context))
 
@@ -233,12 +242,14 @@ class Analysis:
         """
         w, l = self.w, self.l
         claims = []
-        for n in range(w + l):
-            v = self.controllable_at(range(n + 1))
-            if not v.holds:
-                return replace(v, property=CONTROLLABLE)
-            assert isinstance(v.evidence, Certificate)
-            claims.extend(v.evidence.claims)
+        for n, d in enumerate(self.segment_defects, start=1):
+            coords = tuple(range(n))
+            basis = _basis_rows(self._project(None, coords))
+            if d is None:
+                x = _separating_element(basis, self._project(w + l, coords))
+                context = "pattern of the subgroup with no finite-support match"
+                return Verdict(CONTROLLABLE, False, Witness(coords, x, "directsum", context=context))
+            claims.append(EqualityClaim(coords, basis, basis))
         note = f"initial segments up to {w + l - 1} cover all finite coordinate sets at window ({w}, {l})"
         return Verdict(CONTROLLABLE, True, Certificate("projection_equality", tuple(claims), note))
 
@@ -272,14 +283,13 @@ class Analysis:
         claims = []
         for n, d in enumerate(self.segment_defects, start=1):
             coords = tuple(range(n))
-            ph = self._project(None, coords)
+            basis = _basis_rows(self._project(None, coords))
             if d is None:
                 top = self.w + self.l
-                x = _separating_element(ph, self._project(top, coords))
+                x = _separating_element(basis, self._project(top, coords))
                 context = "pattern not matched by any support window up to W+L"
                 return Verdict(UNIFORMLY_CONTROLLABLE, False, Witness(coords, x, "window", k=top, context=context))
-            pk = self._project(d, coords)
-            claims.append(EqualityClaim(coords, _basis_rows(ph), _basis_rows(pk), k=d))
+            claims.append(EqualityClaim(coords, basis, basis, k=d))
         return Verdict(UNIFORMLY_CONTROLLABLE, True, Certificate("window_equality", tuple(claims)))
 
     def gap(self) -> int | None:
@@ -293,15 +303,15 @@ class Analysis:
         defects = self.segment_defects
         claims = []
         for n in range(self.w + self.l + 1):
-            if n and (defects[n - 1] is None or defects[n - 1] > n + k - 1):
-                joint, product, coords = _splice_spans(self.h, n, k)
-                x = _separating_element(product, joint)
-                context = "past/future pair with no spliced element at this cut"
-                return Verdict(K_CONTROLLABLE, False, Witness(coords, x, "splice", n=n, k=k, context=context), k=k)
             past, future = tuple(range(n)), tuple(range(n + k, max(self.w, n + k) + self.l))
             upper, lower = (_basis_rows(self._project(None, c)) for c in (past, future))
             basis = tuple(r + (0,) * len(lower) for r in upper) + tuple((0,) * len(upper) + r for r in lower)
-            claims.append(EqualityClaim(past + future, basis, basis, n=n, k=k))
+            coords = past + future
+            if n and (defects[n - 1] is None or defects[n - 1] > n + k - 1):
+                x = _separating_element(basis, self._project(None, coords))
+                context = "past/future pair with no spliced element at this cut"
+                return Verdict(K_CONTROLLABLE, False, Witness(coords, x, "splice", n=n, k=k, context=context), k=k)
+            claims.append(EqualityClaim(coords, basis, basis, n=n, k=k))
         return Verdict(K_CONTROLLABLE, True, Certificate("splice_equality", tuple(claims)), k=k)
 
     def least_gap(self, k_max: int | None = None) -> int | None:

@@ -174,11 +174,6 @@ def member(s: Subgroup, x: GroupElement) -> bool:
     return lattice_member(s.basis, x.coords)
 
 
-def subgroup_sum(a: Subgroup, b: Subgroup) -> Subgroup:
-    _same_parent(a, b)
-    return Subgroup(a.parent, a.basis.vstack(b.basis))
-
-
 def subgroup_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection as the head kernel of the rows ``(u, u)`` and ``(v, 0)``.
 
@@ -343,7 +338,6 @@ __all__ = [
     "trivial",
     "full",
     "member",
-    "subgroup_sum",
     "subgroup_intersect",
     "subgroup_equal",
     "subgroup_le",

@@ -15,7 +15,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .control import CONTROLLABLE, Verdict, Witness
-from .errors import InternalInconsistency, ParseError, PreconditionFailed
+from .errors import InternalInconsistency, PreconditionFailed
 from .finabel import FiniteAbelianGroup, member
 from .seqspace import (
     CoordSchema,
@@ -40,14 +40,6 @@ def qz_order(x: Fraction) -> int:
 def qz_str(x: Fraction) -> str:
     x = qz(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_qz(text: str) -> Fraction:
-    num, sep, den = text.strip().partition("/")
-    try:
-        return qz(int(num), int(den) if sep else 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"invalid rational {text!r}") from exc
 
 
 def circle_dist(a: Fraction, b: Fraction) -> Fraction:
@@ -229,7 +221,6 @@ __all__ = [
     "qz",
     "qz_order",
     "qz_str",
-    "parse_qz",
     "circle_dist",
     "in_span",
     "TorusSeq",

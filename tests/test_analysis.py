@@ -1,5 +1,8 @@
 """Identities the one-pass analysis relies on, as properties of random subgroups."""
 
+import ast
+import inspect
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -195,6 +198,32 @@ def _oracle(h, cap):
         return WindowOracle(h, cap=cap)
     except CapExceeded:
         assume(False)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(product_subgroups())
+def test_lower_rungs_are_one_fact(h):
+    # H lies in the direct sum of the G_i exactly when every generator's block is zero.
+    a = Analysis(h)
+    finite_support = all(v.is_zero() for g in h.gens for v in g.period)
+    assert a.controllable().holds == a.uniformly_controllable().holds == finite_support
+    oracle = _oracle(h, 3000)
+    assert oracle.controllable() == oracle.uniformly_controllable() == finite_support
+
+
+def test_verdicts_read_the_defect_scan_not_the_subgroup():
+    # Every verdict reads the echelon form built in __init__; no method encodes H again.
+    (cls,) = ast.parse(inspect.getsource(Analysis)).body
+    methods = {m.name: m for m in cls.body if isinstance(m, ast.FunctionDef)}
+
+    def names(node):
+        nodes = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+
+    encoders = {"h", "_splice_spans", "restrict", "project", "span"}
+    assert sorted(f"{m}.{x}" for m, node in methods.items() if m != "__init__" for x in names(node) & encoders) == []
+    assert "h" not in {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)}
+    assert "controllable_at" not in names(methods["controllable"])
 
 
 @PROPERTY

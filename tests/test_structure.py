@@ -1,6 +1,7 @@
-"""Window decompositions and torsion reporting."""
+"""Window decompositions."""
 
 import random
+from math import prod
 
 from groupcodes.families import block_family, z2_power_example
 from groupcodes.finabel import FiniteAbelianGroup
@@ -12,15 +13,7 @@ from groupcodes.seqspace import (
     subgroup_order,
     uniform_schema,
 )
-from groupcodes.structure import DecompositionReport, decompose, torsion_density
-
-
-def elem(schema, vals, period=None):
-    values = [schema.group_at(i).element((v,)) for i, v in enumerate(vals)]
-    block = None
-    if period is not None:
-        block = [schema.tail.element((v,)) for v in period]
-    return from_values(schema, values, period=block)
+from groupcodes.structure import DecompositionReport, decompose
 
 
 class TestDecompose:
@@ -29,7 +22,7 @@ class TestDecompose:
         assert report.factors == (2, 2)
         assert report.order == 4
         assert report.window == (5, 1)
-        assert report.factor_product() == 4
+        assert prod(report.factors) == 4
 
     def test_single_mixed_order_generator(self):
         s = CoordSchema((FiniteAbelianGroup((2, 4)),), FiniteAbelianGroup((3,)))
@@ -45,7 +38,7 @@ class TestDecompose:
     def test_chain_is_elementary_abelian(self):
         report = decompose(z2_power_example(3))
         assert all(d == 2 for d in report.factors)
-        assert report.factor_product() == report.order
+        assert prod(report.factors) == report.order
 
     def test_empty_subgroup(self):
         s = uniform_schema(FiniteAbelianGroup((4,)))
@@ -70,21 +63,7 @@ class TestDecompose:
             report = decompose(h)
             assert isinstance(report, DecompositionReport)
             assert report.order == subgroup_order(h)
-            assert report.factor_product() == report.order
+            assert prod(report.factors) == report.order
             for a, b in zip(report.factors, report.factors[1:]):
                 assert b % a == 0
 
-
-class TestTorsionDensity:
-    def test_always_torsion_with_reason(self):
-        h = block_family(3, (2, 2))
-        is_torsion, reason = torsion_density(h)
-        assert is_torsion
-        assert "3" in reason
-
-    def test_mixed_window_exponent(self):
-        s = CoordSchema((FiniteAbelianGroup((4,)),), FiniteAbelianGroup((6,)))
-        h = ProductSubgroup(s, (elem(s, [1], period=[1]),))
-        is_torsion, reason = torsion_density(h)
-        assert is_torsion
-        assert "12" in reason

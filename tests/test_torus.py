@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from groupcodes.control import verify_verdict
-from groupcodes.errors import InternalInconsistency, ParseError, PreconditionFailed
+from groupcodes.errors import InternalInconsistency, PreconditionFailed
 from groupcodes.seqspace import effective_window, project, subgroup_order
 from groupcodes.torus import (
     TorusSeq,
@@ -17,7 +17,6 @@ from groupcodes.torus import (
     constant_seq,
     in_span,
     noncontrollability_witness,
-    parse_qz,
     qz,
     qz_order,
     qz_str,
@@ -39,13 +38,8 @@ class TestRationalPoints:
         assert qz_order(qz(2, 6)) == 3
         assert qz_order(qz(0)) == 1
 
-    def test_str_and_parse(self):
+    def test_str(self):
         assert qz_str(qz(1, 2)) == "1/2"
-        assert parse_qz("3/4") == F(3, 4)
-        assert parse_qz("7/4") == F(3, 4)
-        for bad in ("", "x", "1/", "/2", "1/0"):
-            with pytest.raises(ParseError):
-                parse_qz(bad)
 
     def test_circle_dist(self):
         assert circle_dist(qz(0), qz(9, 10)) == F(1, 10)
