@@ -29,9 +29,15 @@ supported inside ``[0, k]``, for ``k < W``.  An element supported inside
 ``[W, infinity)``, so ``k`` is clamped to ``W - 1`` and that part is the
 finite-support part (trivial when ``W = 0``).  A projection slices columns
 of the generator rows or of a part's rows; a coordinate ``i >= W + L`` reads
-the columns of ``W + (i - W) % L``, the block coordinate it repeats.  An
-equality of projections onto ``[0, n]`` holds on ``[0, n - 1]`` too, so
-segment defects never decrease.
+the columns of ``W + (i - W) % L``, the block coordinate it repeats.
+
+Segment data are read off the window's basis and each ``part(k)``'s, in
+natural column order: by the suffix property the projection onto ``[0, n)``
+is a basis's upper-left block.  ``part(k)`` lies in ``part(k + 1)`` and in
+``H``, so a pivot of ``part(k)`` that equals the window's stays equal; the
+defect ``d(n)`` of ``[0, n - 1]`` is the running maximum over the columns of
+``[0, n)`` of ``kappa(i)``, the least ``k < max(W, 1)`` whose part has the
+window's ``i``-th pivot, so defects never decrease.
 
 Plain and uniform controllability read the same defects: the segment
 ``[0, n - 1]`` holds exactly when ``d(n)`` is not None, and the first None is
@@ -174,7 +180,9 @@ class Analysis:
     columns laid out last coordinate first, and one ``echelon_mod`` gives
     the triangular basis of all their representatives.  Window parts and
     projections are column slices of the generator rows or of a tail of
-    that basis; they and the segment defects are memoised.  The plain,
+    that basis; they and the segment defects are memoised.  A segment's
+    basis is an upper-left block of the window's basis, and its defect is a
+    running maximum over the pivots of the window parts.  The plain,
     uniform, k- and strong verdicts all read ``segment_defects``; the first
     None there is the first failing segment.  The subgroup itself is read
     only while encoding.  An instance serves one call; nothing is cached
@@ -222,6 +230,11 @@ class Analysis:
             self._projections[key] = Subgroup(ambient, IntMatrix(len(rows), len(cols), tuple(flat)))
         return self._projections[key]
 
+    def _segment(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """Canonical basis of the projection onto ``[0, n)``: the upper-left block of the window's."""
+        m, basis = self._offsets[n], self.window.basis
+        return tuple(basis.row(i)[:m] for i in range(m))
+
     def controllable_at(self, j: Iterable[int]) -> Verdict:
         coords = tuple(sorted(set(j)))
         ph = self._project(None, coords)
@@ -243,8 +256,7 @@ class Analysis:
         w, l = self.w, self.l
         claims = []
         for n, d in enumerate(self.segment_defects, start=1):
-            coords = tuple(range(n))
-            basis = _basis_rows(self._project(None, coords))
+            coords, basis = tuple(range(n)), self._segment(n)
             if d is None:
                 x = _separating_element(basis, self._project(w + l, coords))
                 context = "pattern of the subgroup with no finite-support match"
@@ -253,12 +265,12 @@ class Analysis:
         note = f"initial segments up to {w + l - 1} cover all finite coordinate sets at window ({w}, {l})"
         return Verdict(CONTROLLABLE, True, Certificate("projection_equality", tuple(claims), note))
 
-    def uniformity_defect(self, j: Iterable[int], start: int = 0) -> DefectProfile:
-        """Least window part from ``start`` on that fills the projection onto ``j``; the table starts there."""
+    def uniformity_defect(self, j: Iterable[int]) -> DefectProfile:
+        """Least window part that fills the projection onto ``j``, with the order of each part tried."""
         coords = tuple(sorted(set(j)))
         target = self._project(None, coords)
         table = []
-        for k in range(start, self.w + self.l + 1):
+        for k in range(self.w + self.l + 1):
             pk = self._project(k, coords)
             table.append((k, pk.order()))
             if subgroup_equal(pk, target):
@@ -269,21 +281,24 @@ class Analysis:
     def segment_defects(self) -> tuple[int | None, ...]:
         """``d(n)`` for the segments ``[0, n - 1]``, ``n = 1..W+L``, ending at the first None.
 
-        Each scan starts at the previous defect.
+        ``d(n)`` is the running maximum over the columns of ``[0, n)`` of the
+        least ``k < max(W, 1)`` whose ``part(k)`` has the window's pivot there.
         """
+        pivots, top = self.window.basis, max(self.w, 1)
         defects, d = [], 0
         for n in range(1, self.w + self.l + 1):
-            d = self.uniformity_defect(range(n), start=d).defect
+            for i in range(self._offsets[n - 1], self._offsets[n]):
+                while d < top and self.part(d).basis[i, i] != pivots[i, i]:
+                    d += 1
+            if d == top:
+                return (*defects, None)
             defects.append(d)
-            if d is None:
-                break
         return tuple(defects)
 
     def uniformly_controllable(self) -> Verdict:
         claims = []
         for n, d in enumerate(self.segment_defects, start=1):
-            coords = tuple(range(n))
-            basis = _basis_rows(self._project(None, coords))
+            coords, basis = tuple(range(n)), self._segment(n)
             if d is None:
                 top = self.w + self.l
                 x = _separating_element(basis, self._project(top, coords))
@@ -304,7 +319,7 @@ class Analysis:
         claims = []
         for n in range(self.w + self.l + 1):
             past, future = tuple(range(n)), tuple(range(n + k, max(self.w, n + k) + self.l))
-            upper, lower = (_basis_rows(self._project(None, c)) for c in (past, future))
+            upper, lower = self._segment(n), _basis_rows(self._project(None, future))
             basis = tuple(r + (0,) * len(lower) for r in upper) + tuple((0,) * len(upper) + r for r in lower)
             coords = past + future
             if n and (defects[n - 1] is None or defects[n - 1] > n + k - 1):
@@ -320,7 +335,12 @@ class Analysis:
         return gap if gap is not None and gap <= (self.w + self.l if k_max is None else k_max) else None
 
     def strongly_controllable(self, k_max: int | None = None) -> Verdict:
-        """The least gap up to the bound with its splice certificate, or the witness at the bound."""
+        """The least gap up to the bound with its splice certificate, or the witness at the bound.
+
+        A negative ``k_max`` has no gap to witness at and raises ``ValueError``.
+        """
+        if k_max is not None and k_max < 0:
+            raise ValueError("k_max must be non-negative")
         bound = self.w + self.l if k_max is None else k_max
         idx = self.least_gap(bound)
         v = self.k_controllable(bound if idx is None else idx)
@@ -495,8 +515,8 @@ class WindowOracle:
         groups = [h.schema.group_at(i) for i in range(w + l)]
         orders = [o for g in groups for o in g.orders]
         self.offsets = list(accumulate((g.n for g in groups), initial=0))
-        # Zero is always stored, so a cap below 1 refuses the second element.
-        bound = max(cap, 1)
+        if cap < 1:
+            raise CapExceeded(1, cap)
         elems = {(0,) * len(orders)}
         for g in h.gens:
             step = tuple(c for i in range(w + l) for c in g.value_at(i).coords)
@@ -504,8 +524,8 @@ class WindowOracle:
             while new:
                 new = {tuple((a + b) % o for a, b, o in zip(x, step, orders)) for x in new} - elems
                 elems |= new
-                if len(elems) > bound:
-                    raise CapExceeded(bound + 1, cap)
+                if len(elems) > cap:
+                    raise CapExceeded(cap + 1, cap)
         self.elements = sorted(elems)
 
     def _from(self, n: int) -> int:
@@ -558,7 +578,8 @@ class WindowOracle:
         return all(_every_past_joins_every_future(self._splices(n, n + k)) for n in range(self.w + self.l + 1))
 
     def strong_index(self, k_max: int | None = None) -> int | None:
-        bound = self.w + self.l if k_max is None else min(k_max, self.w + self.l)
+        # A future from n + k >= W on is the slice from W, so every gap past W answers as W does.
+        bound = self.w if k_max is None else min(k_max, self.w)
         return next((k for k in range(bound + 1) if self.k_controllable(k)), None)
 
     def _reconnection_points(self, n: int) -> range:
@@ -585,28 +606,6 @@ class WindowOracle:
 
 def _every_past_joins_every_future(joint: set[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
     return len(joint) == len({p for p, _ in joint}) * len({f for _, f in joint})
-
-
-def oracle_check(h: ProductSubgroup, prop: str, params: dict | None = None, cap: int = ORACLE_CAP) -> Verdict:
-    """Evaluate one property by exhaustive enumeration; the reference answer."""
-    params = dict(params or {})
-    oracle = WindowOracle(h, cap=cap)
-    note = "exhaustive enumeration over the effective window"
-    if prop == CONTROLLABLE:
-        holds = oracle.controllable()
-    elif prop == WEAKLY_CONTROLLABLE:
-        holds = oracle.weakly_controllable()
-    elif prop == UNIFORMLY_CONTROLLABLE:
-        holds = oracle.uniformly_controllable()
-    elif prop == K_CONTROLLABLE:
-        holds = oracle.k_controllable(params["k"])
-    elif prop == STRONGLY_CONTROLLABLE:
-        holds = oracle.strong_index(params.get("k_max")) is not None
-    elif prop == CONTROLLABLE_AT:
-        holds = oracle.controllable_at(params["j"])
-    else:
-        raise ValueError(f"unknown property {prop!r}")
-    return Verdict(prop, holds, Certificate("oracle", (), note), k=params.get("k"))
 
 
 def translate_from_Z(window_neg: int, h: ProductSubgroup) -> ProductSubgroup:
@@ -671,7 +670,6 @@ __all__ = [
     "hierarchy_consistent",
     "verify_verdict",
     "WindowOracle",
-    "oracle_check",
     "translate_from_Z",
     "with_full_past",
 ]

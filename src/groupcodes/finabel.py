@@ -26,7 +26,7 @@ from .intlinalg import (
     IntMatrix,
     echelon_mod,
     head_kernel,
-    lattice_coefficients,
+    kernel_mod,
     lattice_member,
 )
 
@@ -273,9 +273,11 @@ def kernel(f: Homomorphism) -> Subgroup:
 def invariant_factors(s: Subgroup) -> list[int]:
     """Invariant factor decomposition ``d_1 | d_2 | ... | d_r`` with ``d_i >= 2``.
 
-    The subgroup is the quotient of its representative lattice by the
-    relation lattice; writing the relations in the lattice basis gives a
-    square presentation matrix ``P`` whose Smith form lists the factors.
+    A basis row whose pivot equals its column's order is that order times
+    the unit vector, trivial in the quotient, so the ``r`` rows with smaller
+    pivots generate the subgroup.  Their relation lattice, the ``x`` with
+    ``x @ rows == 0`` mod the orders, is read with ``kernel_mod``; it is a
+    square presentation ``P`` whose Smith form lists the factors.
     ``det P = D = |s|``, so the row lattices of ``P`` and ``P^T`` both hold
     every ``D * e_j``, and ``echelon_mod`` with orders ``D`` is a row HNF
     pass with entries below ``D``.  Passes over the matrix and its transpose
@@ -283,13 +285,10 @@ def invariant_factors(s: Subgroup) -> list[int]:
     1979; Hafner & McCurley, SIAM J. Comput. 20(6), 1991); pairwise
     ``gcd``/``lcm`` then put the diagonal in divisibility order.
     """
-    n = s.parent.n
-    presentation = []
-    for j, o in enumerate(s.parent.orders):
-        rel = [0] * n
-        rel[j] = o
-        presentation.extend(lattice_coefficients(s.basis, rel))
-    m, orders = IntMatrix(n, n, tuple(presentation)), [s.order()] * n
+    rows = [s.basis.row(i) for i, o in enumerate(s.parent.orders) if s.basis[i, i] < o]
+    n = len(rows)
+    m = kernel_mod(IntMatrix.from_rows(rows, cols=s.parent.n).transpose(), s.parent.orders)
+    orders = [s.order()] * n
     while True:
         m = echelon_mod(m, orders)
         if not any(x for i in range(n) for x in m.row(i)[i + 1 :]):

@@ -4,24 +4,24 @@ import ast
 import inspect
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupcodes.cli import build_report
 from groupcodes.control import (
-    K_CONTROLLABLE,
     Analysis,
     WindowOracle,
+    _basis_rows,
     _splice_spans,
     controllable_at,
     is_k_controllable,
-    oracle_check,
     strong_index,
     uniformity_defect,
     verify_verdict,
 )
 from groupcodes.errors import CapExceeded
-from groupcodes.finabel import FiniteAbelianGroup, subgroup_equal
+from groupcodes.finabel import FiniteAbelianGroup, invariant_factors, subgroup_equal
+from groupcodes.intlinalg import snf
 from groupcodes.seqspace import (
     CoordSchema,
     ProductSubgroup,
@@ -36,6 +36,7 @@ from groupcodes.seqspace import (
     uniform_schema,
     window_subgroup,
 )
+from test_finabel import presentation
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -87,10 +88,11 @@ def test_k_controllability_monotone_and_least_gap(h):
     w, l = effective_window(h)
     holds = [is_k_controllable(h, k).holds for k in range(w + l + 2)]
     assert holds == sorted(holds)
-    first = holds.index(True) if True in holds[: w + l + 1] else None
-    assert strong_index(h) == first
-    for k_max in range(w + l + 1):
-        assert strong_index(h, k_max) == (first if first is not None and first <= k_max else None)
+    oracle = _oracle(h, 3000)
+    for k_max in [None, -1, *range(w + l + 2)]:
+        bound = w + l if k_max is None else k_max
+        first = next((k for k in range(bound + 1) if holds[k]), None)
+        assert oracle.strong_index(k_max) == strong_index(h, k_max) == first
 
 
 @PROPERTY
@@ -224,6 +226,9 @@ def test_verdicts_read_the_defect_scan_not_the_subgroup():
     assert sorted(f"{m}.{x}" for m, node in methods.items() if m != "__init__" for x in names(node) & encoders) == []
     assert "h" not in {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)}
     assert "controllable_at" not in names(methods["controllable"])
+    # Segment defects read pivots, not canonicalised projections.
+    assert not names(methods["segment_defects"]) & {"uniformity_defect", "subgroup_equal"}
+    assert [a.arg for a in methods["uniformity_defect"].args.args] == ["self", "j"]
 
 
 @PROPERTY
@@ -235,7 +240,6 @@ def test_oracle_answers_every_gap(h):
     for k in range(2 * (w + l) + 2):
         holds = a.k_controllable(k).holds
         assert oracle.k_controllable(k) == holds
-        assert oracle_check(h, K_CONTROLLABLE, {"k": k}).holds == holds
 
 
 @PROPERTY
@@ -269,16 +273,18 @@ def test_oracle_splices_as_the_definition_on_a_long_horizon(h):
 
 @PROPERTY
 @given(product_subgroups())
+@example(ProductSubgroup(uniform_schema(FiniteAbelianGroup((2,))), ()))
 def test_oracle_cap_is_the_subgroup_order(h):
     order = subgroup_order(h)
-    assume(1 < order <= 3000)
+    assume(order <= 3000)
     assert len(WindowOracle(h, cap=order).elements) == order
     with pytest.raises(CapExceeded) as exc:
         WindowOracle(h, cap=order - 1)
     assert str(exc.value) == f"enumeration needs {order} elements, cap is {order - 1}"
-    # The zero element is always stored, so a cap of 0 refuses the second element.
-    with pytest.raises(CapExceeded, match="^enumeration needs 2 elements, cap is 0$"):
-        WindowOracle(h, cap=0)
+    # The zero element counts, so a cap below 1 refuses every subgroup.
+    for cap in (0, -1):
+        with pytest.raises(CapExceeded, match=f"^enumeration needs 1 elements, cap is {cap}$"):
+            WindowOracle(h, cap=cap)
 
 
 @PROPERTY
@@ -287,3 +293,29 @@ def test_verdicts_at_one_coordinate_set_replay(h):
     w, l = effective_window(h)
     for j in [range(n) for n in range(1, w + l + 1)] + [(w,), (0, w + l)]:
         assert verify_verdict(h, controllable_at(h, j))
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_segment_bases_are_blocks_of_the_window_basis(h):
+    a = Analysis(h)
+    for n in range(a.w + a.l + 1):
+        assert a._segment(n) == _basis_rows(a._project(None, tuple(range(n))))
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_segment_defects_are_the_uniformity_defects_of_segments(h):
+    a = Analysis(h)
+    expected = [a.uniformity_defect(range(n)).defect for n in range(1, a.w + a.l + 1)]
+    cut = expected.index(None) + 1 if None in expected else len(expected)
+    assert list(a.segment_defects) == expected[:cut]
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_invariant_factors_match_smith_form_of_presentation(h):
+    a = Analysis(h)
+    for s in [a.window] + [a.part(k) for k in range(a.w + 1)]:
+        d = snf(presentation(s)).d
+        assert invariant_factors(s) == [d[i, i] for i in range(s.parent.n) if d[i, i] > 1]

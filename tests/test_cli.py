@@ -172,6 +172,14 @@ class TestCommands:
         code, _ = run(["check", "--input", str(src), "--cap", "3"])
         assert code == EXIT_CAP
 
+    def test_check_cap_zero_refuses_the_trivial_subgroup(self, tmp_path, capsys):
+        # The zero element counts, so even a one-element subgroup needs a cap of 1.
+        src = tmp_path / "h.txt"
+        src.write_text("tail: 2\n")
+        assert run(["check", "--input", str(src), "--cap", "0"])[0] == EXIT_CAP
+        assert capsys.readouterr().err == "error: enumeration needs 1 elements, cap is 0\n"
+        assert run(["check", "--input", str(src), "--cap", "1"])[0] == EXIT_OK
+
     def test_defect_human_and_csv(self, tmp_path):
         src = tmp_path / "h.txt"
         src.write_text(BLOCKS)

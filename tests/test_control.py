@@ -27,7 +27,6 @@ from groupcodes.control import (
     is_strongly_controllable,
     is_uniformly_controllable,
     is_weakly_controllable_discrete,
-    oracle_check,
     strong_index,
     translate_from_Z,
     uniformity_defect,
@@ -130,16 +129,6 @@ class TestOracleAgreement:
         for h, oracle in CORPUS[:30]:
             assert strong_index(h) == oracle.strong_index()
 
-    def test_oracle_check_wrapper(self):
-        h, _ = CORPUS[0]
-        for prop in (WEAKLY_CONTROLLABLE, CONTROLLABLE, UNIFORMLY_CONTROLLABLE):
-            v = oracle_check(h, prop)
-            assert isinstance(v, Verdict) and v.property == prop
-        assert oracle_check(h, K_CONTROLLABLE, {"k": 1}).k == 1
-        assert oracle_check(h, STRONGLY_CONTROLLABLE).property == STRONGLY_CONTROLLABLE
-        with pytest.raises(ValueError):
-            oracle_check(h, "nonsense")
-
 
 class TestDefinitionalEquivalences:
     def test_controllable_equals_pairwise_splice(self):
@@ -226,10 +215,13 @@ class TestCertificates:
             assert v.evidence == is_k_controllable(h, idx - 1).evidence
 
     def test_negative_gap_bound(self):
-        h, _ = CORPUS[0]
-        assert strong_index(h, k_max=-1) is None
-        with pytest.raises(ValueError):
+        # Searches past a negative bound find nothing; the verdict has no gap to witness at.
+        h, oracle = CORPUS[0]
+        assert strong_index(h, k_max=-1) is None and oracle.strong_index(-1) is None
+        with pytest.raises(ValueError, match="^k_max must be non-negative$"):
             is_strongly_controllable(h, k_max=-1)
+        with pytest.raises(ValueError, match="^k_max must be non-negative$"):
+            Analysis(h).strongly_controllable(-1)
 
 
 class TestKnownInstances:
