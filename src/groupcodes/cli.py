@@ -16,7 +16,7 @@ them from the repeating block, whose values lie in the tail group.  With
 no ``|`` the generator has finite support.
 
 Exit codes: 0 success, 1 a reproduction claim failed, 2 malformed input,
-3 enumeration cap exceeded, 4 internal inconsistency, 5 I/O failure.
+3 enumeration cap or memory exceeded, 4 internal inconsistency, 5 I/O failure.
 """
 
 from __future__ import annotations
@@ -95,13 +95,26 @@ LINES_PER_WRITE = 4096
 # input format
 
 
+def _decimal(text: str) -> int | None:
+    """The value of a non-empty run of decimal digits, or None.
+
+    ``str.isdigit`` also holds for digits such as ``'²'`` that ``int``
+    rejects; ``int`` also rejects runs longer than its digit limit.
+    """
+    try:
+        return int(text) if text.isdigit() else None
+    except ValueError:
+        return None
+
+
 def _parse_group(token: str, where: str) -> FiniteAbelianGroup:
     orders = []
     for part in token.split(","):
         part = part.strip()
-        if not part.isdigit() or int(part) < 1:
+        order = _decimal(part)
+        if order is None or order < 1:
             raise ParseError(f"{where}: bad cyclic order {part!r}")
-        orders.append(int(part))
+        orders.append(order)
     if not orders:
         raise ParseError(f"{where}: empty group description")
     return FiniteAbelianGroup(tuple(orders))
@@ -116,9 +129,11 @@ def _parse_value(token: str, group: FiniteAbelianGroup, where: str) -> Any:
     coords = []
     for part in parts:
         part = part.strip()
-        if not (part.isdigit() or (part.startswith("-") and part[1:].isdigit())):
+        negative = part.startswith("-")
+        residue = _decimal(part[1:] if negative else part)
+        if residue is None:
             raise ParseError(f"{where}: bad residue {part!r}")
-        coords.append(int(part))
+        coords.append(-residue if negative else residue)
     return group.element(tuple(coords))
 
 
@@ -510,9 +525,10 @@ def _coords_arg(text: str) -> tuple[int, ...]:
 
 def _depths_arg(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit() or int(lo) > int(hi):
+    first, last = _decimal(lo), _decimal(hi)
+    if not sep or first is None or last is None or first > last:
         raise ParseError(f"bad depth range {text!r}; expected e.g. 2..6")
-    return range(int(lo), int(hi) + 1)
+    return range(first, last + 1)
 
 
 def _non_negative_arg(flag: str, what: str) -> Callable[[str], int]:
@@ -720,6 +736,9 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
         return args.func(args, out)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory; try a smaller instance", file=sys.stderr)
         return EXIT_CAP
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)

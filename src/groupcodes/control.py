@@ -212,17 +212,23 @@ class Analysis:
         return self._project(None, tuple(range(self.w + self.l)))
 
     def _project(self, k: int | None, coords: tuple[int, ...]) -> Subgroup:
-        """Projection onto ``coords`` of the subgroup (``k`` None) or of ``part(k)``."""
+        """Projection onto the sorted ``coords`` of the subgroup (``k`` None) or of ``part(k)``.
+
+        Coordinate ``i >= W + L`` reads the columns of ``W + (i - W) % L``,
+        so the memo is keyed on the folded coordinates.
+        """
+        if coords and coords[0] < 0:
+            raise IndexError("coordinates are indexed from 0")
         if k is not None:
             k = min(k, self.w - 1)
+        w, l = self.w, self.l
+        if coords and coords[-1] >= w + l:
+            coords = tuple(i if i < w + l else w + (i - w) % l for i in coords)
         key = (k, coords)
         if key not in self._projections:
-            if coords and coords[0] < 0:
-                raise IndexError("coordinates are indexed from 0")
-            n, offsets, w, l = len(self._orders), self._offsets, self.w, self.l
+            n, offsets = len(self._orders), self._offsets
             cols = []
             for i in coords:
-                i = i if i < w + l else w + (i - w) % l
                 cols.extend(range(n - offsets[i + 1], n - offsets[i]))
             rows = self._gen_rows if k is None else self._basis_rows[n - offsets[k + 1] :]
             flat = [r[c] for r in rows for c in cols]

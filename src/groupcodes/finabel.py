@@ -25,7 +25,6 @@ from .errors import CapExceeded, SchemaMismatch
 from .intlinalg import (
     IntMatrix,
     echelon_mod,
-    head_kernel,
     kernel_mod,
     lattice_member,
 )
@@ -49,9 +48,6 @@ class FiniteAbelianGroup:
 
     def order(self) -> int:
         return prod(self.orders)
-
-    def exponent(self) -> int:
-        return lcm(*self.orders) if self.orders else 1
 
     def zero(self) -> GroupElement:
         return GroupElement(self, (0,) * self.n)
@@ -174,21 +170,6 @@ def member(s: Subgroup, x: GroupElement) -> bool:
     return lattice_member(s.basis, x.coords)
 
 
-def subgroup_intersect(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Intersection as the head kernel of the rows ``(u, u)`` and ``(v, 0)``.
-
-    ``u`` runs over ``a``'s basis and ``v`` over ``b``'s, with the group
-    orders on both halves.  A vector ``(0, y)`` of that lattice has
-    ``y`` in ``a`` and ``-y`` in ``b``, and every ``y`` in both arises so.
-    """
-    _same_parent(a, b)
-    n = a.parent.n
-    rows = [a.basis.row(i) * 2 for i in range(a.basis.rows)]
-    rows += [b.basis.row(i) + (0,) * n for i in range(b.basis.rows)]
-    orders = a.parent.orders
-    return Subgroup(a.parent, head_kernel(IntMatrix.from_rows(rows, cols=2 * n), orders, orders))
-
-
 def subgroup_equal(a: Subgroup, b: Subgroup) -> bool:
     _same_parent(a, b)
     return a.basis == b.basis
@@ -203,71 +184,6 @@ def subgroup_le(a: Subgroup, b: Subgroup) -> bool:
 def _same_parent(a: Subgroup, b: Subgroup) -> None:
     if a.parent != b.parent:
         raise SchemaMismatch("subgroups of different ambient groups")
-
-
-@dataclass(frozen=True)
-class Homomorphism:
-    """Group homomorphism given by an integer matrix acting on coordinates.
-
-    ``matrix`` has shape ``(codomain.n, domain.n)`` and acts on column
-    vectors.  Well-definedness requires that each domain relation maps into
-    the codomain relation lattice, which is checked at construction.
-    """
-
-    domain: FiniteAbelianGroup
-    codomain: FiniteAbelianGroup
-    matrix: IntMatrix
-
-    def __post_init__(self) -> None:
-        if self.matrix.rows != self.codomain.n or self.matrix.cols != self.domain.n:
-            raise SchemaMismatch("matrix shape does not match domain and codomain")
-        for j, o in enumerate(self.domain.orders):
-            col = self.matrix.column(j)
-            if any((o * c) % co for c, co in zip(col, self.codomain.orders)):
-                raise ValueError("matrix does not define a homomorphism on these groups")
-
-    def apply(self, x: GroupElement) -> GroupElement:
-        if x.parent != self.domain:
-            raise SchemaMismatch("element outside the domain")
-        return self.codomain.element(self.matrix.apply(x.coords))
-
-    @classmethod
-    def from_columns(
-        cls, domain: FiniteAbelianGroup, codomain: FiniteAbelianGroup, images: Sequence[GroupElement]
-    ) -> Homomorphism:
-        """Homomorphism sending the j-th unit vector to ``images[j]``."""
-        if len(images) != domain.n:
-            raise SchemaMismatch("one image per domain coordinate is required")
-        rows = [[images[j].coords[i] for j in range(domain.n)] for i in range(codomain.n)]
-        return cls(domain, codomain, IntMatrix.from_rows(rows, cols=domain.n))
-
-
-def image(f: Homomorphism, s: Subgroup) -> Subgroup:
-    if s.parent != f.domain:
-        raise SchemaMismatch("subgroup outside the domain")
-    gens = [f.codomain.element(f.matrix.apply(s.basis.row(i))) for i in range(s.basis.rows)]
-    return span(f.codomain, gens)
-
-
-def preimage(f: Homomorphism, s: Subgroup) -> Subgroup:
-    """Full inverse image ``{x : f(x) in s}``.
-
-    The head kernel of the rows ``(f(e_j), e_j)`` and ``(v, 0)`` for ``v``
-    in ``s``'s basis, with the codomain orders on the head and the domain
-    orders on the tail: ``(0, x)`` lies in that lattice exactly when
-    ``f(x)`` lies in ``s``.
-    """
-    if s.parent != f.codomain:
-        raise SchemaMismatch("subgroup outside the codomain")
-    n = f.domain.n
-    rows = [f.matrix.column(j) + tuple(int(k == j) for k in range(n)) for j in range(n)]
-    rows += [s.basis.row(i) + (0,) * n for i in range(s.basis.rows)]
-    gens = IntMatrix.from_rows(rows, cols=f.codomain.n + n)
-    return Subgroup(f.domain, head_kernel(gens, f.codomain.orders, f.domain.orders))
-
-
-def kernel(f: Homomorphism) -> Subgroup:
-    return preimage(f, trivial(f.codomain))
 
 
 def invariant_factors(s: Subgroup) -> list[int]:
@@ -331,18 +247,13 @@ __all__ = [
     "FiniteAbelianGroup",
     "GroupElement",
     "Subgroup",
-    "Homomorphism",
     "direct_sum",
     "span",
     "trivial",
     "full",
     "member",
-    "subgroup_intersect",
     "subgroup_equal",
     "subgroup_le",
-    "image",
-    "preimage",
-    "kernel",
     "invariant_factors",
     "enumerate_subgroup",
 ]

@@ -15,9 +15,9 @@ Conventions:
     ``diag(orders)`` one at a time and keeps every entry right of a pivot
     below its column's order, so entries never grow.  The row HNF of a
     lattice is unique, so both routes agree exactly.
-  * head_kernel reads the vectors of such a lattice that vanish on its
-    first columns off the echelon_mod basis; kernels mod moduli, subgroup
-    intersections and preimages are all computed this way.
+  * kernel_mod reads the solutions of a congruence system off the
+    echelon_mod basis of the rows ``(a @ e_j, e_j)``: they are the lattice
+    vectors that vanish on the first columns.
   * snf satisfies ``l @ m @ r == d`` with ``d`` diagonal, entries
     non-negative, and each diagonal entry dividing the next.
 """
@@ -103,18 +103,6 @@ class IntMatrix:
             ai = a[i]
             out.append([sum(ai[k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)])
         return _from_int_rows(out, other.cols)
-
-    def __neg__(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
     def vstack(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.cols:
@@ -324,37 +312,29 @@ def echelon_mod(gens: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     return _from_int_rows(basis, n)
 
 
-def head_kernel(gens: IntMatrix, head: Sequence[int], tail: Sequence[int]) -> IntMatrix:
-    """Canonical HNF basis of ``{y : (0, y) in lattice}``, the lattice being ``echelon_mod(gens, head + tail)``'s.
-
-    The first ``len(head)`` columns are the head.  A triangular basis of a
-    full-rank lattice has the suffix property: the rows with pivots past
-    the head span exactly the lattice vectors that vanish on the head
-    (Cohen, GTM 138, §2.4).  So the result is the lower-right
-    ``len(tail)``-square block of the basis, already in HNF.
-    """
-    r, n = len(head), len(tail)
-    basis = echelon_mod(gens, list(head) + list(tail))
-    return _from_int_rows([basis.row(i)[r:] for i in range(r, r + n)], n)
-
-
 def kernel_mod(a: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     """Generator rows of the lattice ``{x : a @ x == 0 (mod moduli)}``.
 
     ``moduli[i]`` applies to row ``i`` of ``a``; every modulus must be
     positive.  The result is in canonical row HNF with zero rows dropped.
     The lattice always contains ``lcm(moduli) * e_j`` for each coordinate,
-    so it has full rank and is the head kernel of the rows
-    ``(a @ e_j mod moduli, e_j)`` with head orders ``moduli`` and tail
-    orders ``lcm(moduli)``.
+    so it is ``{x : (0, x) in L}`` for the full-rank lattice ``L`` that
+    ``echelon_mod`` spans from the rows ``(a @ e_j, e_j)`` with orders
+    ``moduli`` on the first ``r = len(moduli)`` columns and ``lcm(moduli)``
+    on the last ``n``.  A triangular basis of a full-rank lattice has the
+    suffix property: the rows with pivots past column ``r`` span exactly the
+    lattice vectors that vanish on the first ``r`` columns (Cohen, GTM 138,
+    §2.4).  So the result is the lower-right ``n``-square block of that
+    basis, already in HNF.
     """
     if len(moduli) != a.rows:
         raise ValueError("one modulus per matrix row is required")
     if any(mod < 1 for mod in moduli):
         raise ValueError("moduli must be positive")
-    n = a.cols
+    r, n = a.rows, a.cols
     rows = [a.column(j) + tuple(int(k == j) for k in range(n)) for j in range(n)]
-    return head_kernel(_from_int_rows(rows, a.rows + n), moduli, [lcm(*moduli)] * n)
+    basis = echelon_mod(_from_int_rows(rows, r + n), list(moduli) + [lcm(*moduli)] * n)
+    return _from_int_rows([basis.row(i)[r:] for i in range(r, r + n)], n)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -412,7 +392,6 @@ __all__ = [
     "kernel_mod",
     "echelon_lattice",
     "echelon_mod",
-    "head_kernel",
     "lattice_member",
     "lattice_coefficients",
     "gcd",

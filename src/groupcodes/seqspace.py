@@ -28,7 +28,6 @@ from .finabel import (
     Subgroup,
     direct_sum,
     enumerate_subgroup,
-    member,
     span,
     subgroup_equal,
 )
@@ -320,15 +319,6 @@ def subgroup_order(h: ProductSubgroup) -> int:
     return sub.order()
 
 
-def contains(h: ProductSubgroup, e: SeqElement) -> bool:
-    """Membership of a sequence element in the generated subgroup."""
-    w, l = effective_window(h)
-    if e.prefix_len > w or l % e.period_len:
-        return False
-    sub, codec = window_subgroup(h)
-    return member(sub, codec.encode(e))
-
-
 def subgroups_equal(h1: ProductSubgroup, h2: ProductSubgroup) -> bool:
     """Mathematical equality of two generated subgroups over one schema."""
     if h1.schema != h2.schema:
@@ -363,6 +353,5 @@ __all__ = [
     "window_subgroup",
     "enumerate_elements",
     "subgroup_order",
-    "contains",
     "subgroups_equal",
 ]

@@ -154,6 +154,15 @@ def test_echelon_parts_match_intersect_sum_window(h):
     assert a.window == window_subgroup(h)[0]
 
 
+@PROPERTY
+@given(product_subgroups())
+def test_projection_memo_is_keyed_on_folded_coordinates(h):
+    a = Analysis(h)
+    for i in range(a.w, a.w + 2 * a.l):
+        assert a._project(None, (i,)) is a._project(None, (i + a.l,))
+        assert a._project(0, tuple(range(i, i + a.l))) is a._project(0, tuple(range(i + a.l, i + 2 * a.l)))
+
+
 def _trivial_window(a):
     return all(a.part(k).order() == 1 for k in range(a.w + a.l + 2))
 

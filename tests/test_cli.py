@@ -5,9 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import groupcodes
 from groupcodes.cli import (
@@ -37,6 +41,14 @@ def run(argv, stdin_text=None, monkeypatch=None):
     out = io.StringIO()
     code = main(argv, out)
     return code, out.getvalue()
+
+
+def run_quiet(argv, stdin_text=""):
+    """Exit code and stderr of one in-process run, stdin fed from the text."""
+    err = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), redirect_stderr(err):
+        code = main(argv, io.StringIO())
+    return code, err.getvalue()
 
 
 class TestParsing:
@@ -86,11 +98,17 @@ class TestParsing:
             "mystery: 3\n",  # unknown key
             "tail 2\n",  # missing colon
             "prefix: 2 prefix: 2\ntail: 2\n",  # malformed group token
+            "tail: ²\n",  # a digit int() rejects, as an order
+            "prefix: ³\ntail: 2\n",  # ... as a prefix order
+            "tail: 3\ngen: ² -²\n",  # ... as a residue
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_subgroup(bad)
+
+    def test_digits_int_reads_stay_accepted(self):
+        assert parse_subgroup("prefix: ١\ntail: ٣\ngen: ١ -١\n").gens[0].value_at(1).coords == (2,)
 
 
 class TestReportSchema:
@@ -309,6 +327,15 @@ class TestExitCodes:
         assert text == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_out_of_memory(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("groupcodes.cli.build_report", exhausted)
+        code, err = run_quiet(["report"], BLOCKS)
+        assert code == EXIT_CAP
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_huge_kmax_without_working_gap_finishes(self, tmp_path):
         src = tmp_path / "h.txt"
         src.write_text("tail: 2\ngen: 0 | 1 0\ngen: 1 | 0 1\n")
@@ -324,6 +351,59 @@ class TestExitCodes:
         code, text = run(["check", "--input", str(src)])
         assert code == EXIT_OK
         assert text.endswith("invariant factors: [1000000000000000003, 1000000000000000003]\n")
+
+
+ORDERS = st.sampled_from(["1", "2", "3", "4"])
+RESIDUES = st.sampled_from(["0", "1", "2", "-1"])
+# Digits int() rejects ('²'), digits it reads ('١'), and junk.
+BAD_TOKENS = st.sampled_from(["²", "³", "-²", "١", "-١", "-", "|", "0", "x", "1,", ""])
+JUNK_LINES = st.sampled_from(["junk", "# comment", "", "tail 2", "tail: 2", "gen: |", "prefix: 2", "bogus: 1"])
+
+
+@st.composite
+def subgroup_texts(draw):
+    """A well-formed ``prefix:``/``tail:``/``gen:`` text, then maybe one bad token or one junk line."""
+    prefix = draw(st.lists(st.lists(ORDERS, min_size=1, max_size=2), max_size=2))
+    tail = draw(st.lists(ORDERS, min_size=1, max_size=2))
+    lines = ["prefix: " + " ".join(map(",".join, prefix))] if prefix else []
+    lines.append("tail: " + ",".join(tail))
+    widths = [len(g) for g in prefix] + [len(tail)] * 3
+    for _ in range(draw(st.integers(0, 3))):
+        head = [",".join(draw(RESIDUES) for _ in range(w)) for w in widths[: draw(st.integers(0, len(widths)))]]
+        block = [",".join(draw(RESIDUES) for _ in tail) for _ in range(draw(st.integers(0, 2)))]
+        lines.append("gen: " + " ".join(head) + (" | " + " ".join(block) if block else ""))
+    mutation = draw(st.sampled_from(["none", "token", "line"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if mutation == "token":
+        tokens = lines[at].split(" ")
+        where = draw(st.integers(1, len(tokens)))
+        tokens[where : where + 1] = [draw(BAD_TOKENS)]
+        lines[at] = " ".join(tokens)
+    elif mutation == "line":
+        lines.insert(at, draw(JUNK_LINES))
+    return "\n".join(lines) + "\n"
+
+
+DEPTH_ENDS = st.sampled_from(["", "1", "2", "²", "-1", "١", "x"])
+COMMANDS = (["check"], ["check", "--cap", "30"], ["report"], ["kcontrol"], ["defect"], ["decompose"])
+
+
+class TestMalformedInputFuzz:
+    """Any small grammar-shaped input ends with a defined exit code and at most one error line."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(subgroup_texts(), st.tuples(DEPTH_ENDS, DEPTH_ENDS).map("..".join))
+    @example("tail: ²\ngen: 1", "1..2")
+    @example("prefix: ³\ntail: 2\ngen: 1", "1..2")
+    @example("tail: 2\ngen: ² -²", "1..2")
+    @example("tail: 2\ngen: ١", "²..3")
+    def test_exit_code_and_one_error_line(self, text, depths):
+        runs = [run_quiet(argv, text) for argv in COMMANDS]
+        runs.append(run_quiet(["defect", "--family", "chain", f"--depths={depths}"]))
+        for code, err in runs:
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_CAP)
+            if code != EXIT_OK:
+                assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestReproduce:

@@ -1,5 +1,7 @@
-"""Every name a package module imports is used there or re-exported, and
-every private module-level function is referenced elsewhere in the package."""
+"""Every name a package module imports is used there or re-exported, every
+private module-level function is referenced elsewhere in the package, and
+every public one is reached by the package, the benchmark or the acceptance
+suite."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import groupcodes
 
 MODULES = sorted(Path(groupcodes.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 TREES = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
 
 
@@ -36,10 +39,16 @@ def test_every_import_is_used_or_exported(path):
     assert sorted(_imported(tree) - used - _exported(tree)) == []
 
 
+def _used(top: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+USED = [(top, _used(top)) for tree in TREES.values() for top in tree.body]
+
+
 def _referenced(skip: ast.AST) -> set[str]:
-    """Names and attributes used anywhere in the package outside the node ``skip``."""
-    nodes = (n for tree in TREES.values() for top in tree.body if top is not skip for n in ast.walk(top))
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
+    """Names and attributes used anywhere in the package outside the top-level node ``skip``."""
+    return set().union(*(names for top, names in USED if top is not skip))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -50,3 +59,40 @@ def test_every_private_function_is_referenced(path):
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__")
     ]
     assert sorted(node.name for node in private if node.name not in _referenced(node)) == []
+
+
+# Public names that nothing in the package, the benchmark or the acceptance suite reaches, kept on purpose.
+KEPT_PUBLIC = {
+    "parse_report": "the report reader a report-replaying command will call",
+    "trivial": "test fixture",
+    "constant": "test fixture",
+    "support": "test fixture",
+    "enumerate_elements": "the reference enumeration the tests check the engine against",
+}
+
+
+def _names_and_strings(path: Path) -> set[str]:
+    """Names, attributes, imported names and string constants used in one file."""
+    names = set()
+    for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.asname or n.name)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names.add(n.value)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_is_reached(path):
+    files = [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    outside = set(KEPT_PUBLIC).union(*map(_names_and_strings, files))
+    public = [
+        node
+        for node in TREES[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert sorted(n.name for n in public if n.name not in outside and n.name not in _referenced(n)) == []

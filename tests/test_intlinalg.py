@@ -209,10 +209,10 @@ class TestLatticeOps:
             e = echelon_lattice(m)
             for i in range(m.rows):
                 assert lattice_member(e, m.row(i))
-            u = hnf(m).u
+            um = hnf(m).u @ m
             for i in range(e.rows):
                 # every echelon row is an integer combination of the inputs
-                assert m.transpose().apply(u.row(i)) == e.row(i)
+                assert um.row(i) == e.row(i)
 
     def test_coefficients_reconstruct(self):
         rng = random.Random(20)
