@@ -320,8 +320,8 @@ def validate_report(obj: Any) -> None:
         raise ParseError(f"missing report fields: {sorted(missing)}")
     if not isinstance(obj["verdicts"], list) or not obj["verdicts"]:
         raise ParseError("a report must carry at least one verdict")
-    if len(obj["certificates"]) != len(obj["verdicts"]):
-        raise ParseError("one certificate entry per verdict is required")
+    if not isinstance(obj["certificates"], list) or len(obj["certificates"]) != len(obj["verdicts"]):
+        raise ParseError("certificates must be a list with one entry per verdict")
     for v in obj["verdicts"]:
         if not isinstance(v, dict) or set(v) != {"property", "holds", "k"}:
             raise ParseError("verdict entries carry exactly property, holds, k")
@@ -330,7 +330,7 @@ def validate_report(obj: Any) -> None:
 def parse_report(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError and over-long integers
         raise ParseError(f"bad JSON: {exc}") from exc
     validate_report(obj)
     return obj
@@ -737,8 +737,8 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except MemoryError:
-        print("error: out of memory; try a smaller instance", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}; try a smaller instance", file=sys.stderr)
         return EXIT_CAP
     except InternalInconsistency as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -31,13 +31,23 @@ finite-support part (trivial when ``W = 0``).  A projection slices columns
 of the generator rows or of a part's rows; a coordinate ``i >= W + L`` reads
 the columns of ``W + (i - W) % L``, the block coordinate it repeats.
 
-Segment data are read off the window's basis and each ``part(k)``'s, in
-natural column order: by the suffix property the projection onto ``[0, n)``
-is a basis's upper-left block.  ``part(k)`` lies in ``part(k + 1)`` and in
-``H``, so a pivot of ``part(k)`` that equals the window's stays equal; the
-defect ``d(n)`` of ``[0, n - 1]`` is the running maximum over the columns of
-``[0, n)`` of ``kappa(i)``, the least ``k < max(W, 1)`` whose part has the
-window's ``i``-th pivot, so defects never decrease.
+Segment data are read in natural column order: by the suffix property the
+projection onto ``[0, n)`` is the upper-left block of the window's canonical
+basis.  The parts are nested, and ``part(k + 1)`` is ``part(k)`` plus the
+basis rows whose pivots lie in coordinate ``k + 1``.  So one pass grows them
+all: it inserts those rows with ``insert_mod`` into ``diag(orders)`` on the
+chosen columns, a coordinate at a time from coordinate 0, and records the
+diagonal after each (incremental HNF, Micciancio and Warinschi, ISSAC 2001).
+Any triangular basis of a full-rank lattice has the Hermite pivots, so each
+recorded diagonal is a part's, and the last is the subgroup's.  ``part(k)``
+lies in ``part(k + 1)`` and in ``H``, so a pivot of ``part(k)`` that equals
+the window's stays equal; the defect ``d(n)`` of ``[0, n - 1]`` is the
+running maximum over the columns of ``[0, n)`` of ``kappa(i)``, the least
+``k < max(W, 1)`` whose part has the window's ``i``-th pivot, so defects
+never decrease.  On a coordinate set ``J`` the same pass gives the order
+``prod(orders) / prod(pivots)`` of each part's image, the table of
+``uniformity_defect``: the trellis span data of a group code (Forney and
+Trott, IEEE Trans. IT 39(5), 1993).
 
 Plain and uniform controllability read the same defects: the segment
 ``[0, n - 1]`` holds exactly when ``d(n)`` is not None, and the first None is
@@ -72,7 +82,7 @@ from .finabel import (
     span,
     subgroup_equal,
 )
-from .intlinalg import IntMatrix, echelon_mod
+from .intlinalg import IntMatrix, echelon_mod, insert_mod
 from .seqspace import (
     CoordSchema,
     ProductSubgroup,
@@ -181,8 +191,11 @@ class Analysis:
     the triangular basis of all their representatives.  Window parts and
     projections are column slices of the generator rows or of a tail of
     that basis; they and the segment defects are memoised.  A segment's
-    basis is an upper-left block of the window's basis, and its defect is a
-    running maximum over the pivots of the window parts.  The plain,
+    basis is an upper-left block of the window's basis.  One pass inserts
+    the basis rows into ``diag(orders)`` a coordinate at a time and records
+    the pivots of every window part; a segment's defect is a running
+    maximum over them, and ``uniformity_defect`` reads the parts' image
+    orders off the same pass on its coordinates.  The plain,
     uniform, k- and strong verdicts all read ``segment_defects``; the first
     None there is the first failing segment.  The subgroup itself is read
     only while encoding.  An instance serves one call; nothing is cached
@@ -211,26 +224,28 @@ class Analysis:
         """The subgroup on ``[0, W + L)``: ``window_subgroup(h)``'s subgroup."""
         return self._project(None, tuple(range(self.w + self.l)))
 
-    def _project(self, k: int | None, coords: tuple[int, ...]) -> Subgroup:
-        """Projection onto the sorted ``coords`` of the subgroup (``k`` None) or of ``part(k)``.
-
-        Coordinate ``i >= W + L`` reads the columns of ``W + (i - W) % L``,
-        so the memo is keyed on the folded coordinates.
-        """
+    def _columns(self, coords: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+        """The sorted ``coords`` with ``i >= W + L`` folded onto ``W + (i - W) % L``, and their columns."""
         if coords and coords[0] < 0:
             raise IndexError("coordinates are indexed from 0")
-        if k is not None:
-            k = min(k, self.w - 1)
         w, l = self.w, self.l
         if coords and coords[-1] >= w + l:
             coords = tuple(i if i < w + l else w + (i - w) % l for i in coords)
+        n, offsets = len(self._orders), self._offsets
+        return coords, [c for i in coords for c in range(n - offsets[i + 1], n - offsets[i])]
+
+    def _project(self, k: int | None, coords: tuple[int, ...]) -> Subgroup:
+        """Projection onto the sorted ``coords`` of the subgroup (``k`` None) or of ``part(k)``.
+
+        The memo is keyed on the folded coordinates.
+        """
+        if k is not None:
+            k = min(k, self.w - 1)
+        coords, cols = self._columns(coords)
         key = (k, coords)
         if key not in self._projections:
-            n, offsets = len(self._orders), self._offsets
-            cols = []
-            for i in coords:
-                cols.extend(range(n - offsets[i + 1], n - offsets[i]))
-            rows = self._gen_rows if k is None else self._basis_rows[n - offsets[k + 1] :]
+            n = len(self._orders)
+            rows = self._gen_rows if k is None else self._basis_rows[n - self._offsets[k + 1] :]
             flat = [r[c] for r in rows for c in cols]
             ambient = FiniteAbelianGroup(tuple(self._orders[c] for c in cols))
             self._projections[key] = Subgroup(ambient, IntMatrix(len(rows), len(cols), tuple(flat)))
@@ -271,17 +286,35 @@ class Analysis:
         note = f"initial segments up to {w + l - 1} cover all finite coordinate sets at window ({w}, {l})"
         return Verdict(CONTROLLABLE, True, Certificate("projection_equality", tuple(claims), note))
 
+    def _part_pivots(self, coords: tuple[int, ...]) -> list[list[int]]:
+        """Pivots on the sorted ``coords`` of every window part, from one insertion pass.
+
+        The window basis rows go into ``diag(orders)`` a coordinate at a time
+        from 0, the diagonal recorded first and after each: entry
+        ``min(k + 1, W)`` is ``part(k)``'s, the last the subgroup's.  A
+        column that folding repeats is read once; it adds no image elements.
+        """
+        cols = list(dict.fromkeys(self._columns(coords)[1]))
+        n, offsets, orders = len(self._orders), self._offsets, [self._orders[c] for c in cols]
+        basis = [[0] * k + [o] + [0] * (len(cols) - k - 1) for k, o in enumerate(orders)]
+        pivots = [orders]
+        for i in range(self.w + self.l):
+            for row in self._basis_rows[n - offsets[i + 1] : n - offsets[i]]:
+                insert_mod(basis, [row[c] for c in cols], orders)
+            pivots.append([row[k] for k, row in enumerate(basis)])
+        return pivots
+
     def uniformity_defect(self, j: Iterable[int]) -> DefectProfile:
-        """Least window part that fills the projection onto ``j``, with the order of each part tried."""
+        """Least window part that fills the projection onto ``j``, with the order of each part tried.
+
+        An image's order is ``prod(orders) / prod(pivots)``; a part's image
+        lies in the subgroup's, so equal orders mean equal images.
+        """
         coords = tuple(sorted(set(j)))
-        target = self._project(None, coords)
-        table = []
-        for k in range(self.w + self.l + 1):
-            pk = self._project(k, coords)
-            table.append((k, pk.order()))
-            if subgroup_equal(pk, target):
-                return DefectProfile(coords, k, tuple(table))
-        return DefectProfile(coords, None, tuple(table))
+        index = [FiniteAbelianGroup(tuple(p)).order() for p in self._part_pivots(coords)]
+        table = tuple((k, index[0] // index[min(k + 1, self.w)]) for k in range(self.w + self.l + 1))
+        defect = next((k for k, order in table if order == index[0] // index[-1]), None)
+        return DefectProfile(coords, defect, table if defect is None else table[: defect + 1])
 
     @cached_property
     def segment_defects(self) -> tuple[int | None, ...]:
@@ -290,11 +323,11 @@ class Analysis:
         ``d(n)`` is the running maximum over the columns of ``[0, n)`` of the
         least ``k < max(W, 1)`` whose ``part(k)`` has the window's pivot there.
         """
-        pivots, top = self.window.basis, max(self.w, 1)
+        parts, top = self._part_pivots(tuple(range(self.w + self.l))), max(self.w, 1)
         defects, d = [], 0
         for n in range(1, self.w + self.l + 1):
             for i in range(self._offsets[n - 1], self._offsets[n]):
-                while d < top and self.part(d).basis[i, i] != pivots[i, i]:
+                while d < top and parts[min(d + 1, self.w)][i] != parts[-1][i]:
                     d += 1
             if d == top:
                 return (*defects, None)

@@ -12,9 +12,10 @@ Conventions:
     a transform, and ``snf`` alternates it over the matrix and its transpose.
   * echelon_mod gives the same canonical basis for a lattice that holds
     ``orders[j] * e_j`` for every column: it inserts the generators into
-    ``diag(orders)`` one at a time and keeps every entry right of a pivot
-    below its column's order, so entries never grow.  The row HNF of a
-    lattice is unique, so both routes agree exactly.
+    ``diag(orders)`` one at a time with ``insert_mod``, which keeps every
+    entry right of a pivot below its column's order, so entries never grow.
+    The row HNF of a lattice is unique, so both routes agree exactly.  A
+    width above ``MAX_WIDTH`` is refused with ``MemoryError`` up front.
   * kernel_mod reads the solutions of a congruence system off the
     echelon_mod basis of the rows ``(a @ e_j, e_j)``: they are the lattice
     vectors that vanish on the first columns.
@@ -28,6 +29,9 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Iterable, Sequence
+
+# Widest echelon_mod basis; wider square matrices of Python ints exhaust memory.
+MAX_WIDTH = 4096
 
 
 @dataclass(frozen=True)
@@ -269,39 +273,22 @@ def echelon_mod(gens: IntMatrix, orders: Sequence[int]) -> IntMatrix:
 
     Equals ``echelon_lattice(gens.vstack(IntMatrix.diagonal(orders)))``
     for positive ``orders``, computed with bounded entries: the basis
-    starts as the triangular ``diag(orders)``, and each generator, reduced
-    mod ``orders``, is inserted column by column through a unimodular
-    extended-gcd step with that column's pivot row.  Throughout, every
-    entry right of a pivot is kept reduced mod the order of its column
-    ``j``, which is allowed because ``orders[j] * e_j`` lies in the lattice
-    and, in a triangular basis of a full-rank lattice, in the span of rows
-    ``j..n-1``.  A last pass reduces the entries above each pivot into
-    ``[0, pivot)``.  The row HNF of a lattice is unique, so the result is
-    the same matrix the general HNF produces.
+    starts as the triangular ``diag(orders)``, each generator is inserted
+    by ``insert_mod``, and a last pass reduces the entries above each pivot
+    into ``[0, pivot)``.  The row HNF of a lattice is unique, so the result
+    is the same matrix the general HNF produces.  A width above
+    ``MAX_WIDTH`` raises ``MemoryError`` before the square basis is built.
     """
     n = len(orders)
     if gens.cols != n:
         raise ValueError("generator width does not match the number of orders")
+    if n > MAX_WIDTH:
+        raise MemoryError(f"a {n}-column echelon form exceeds the {MAX_WIDTH}-column limit")
     basis = [[0] * n for _ in range(n)]
     for k, o in enumerate(orders):
         basis[k][k] = o
     for i in range(gens.rows):
-        g = [x % o for x, o in zip(gens.row(i), orders)]
-        for k in range(n):
-            a = g[k]
-            if not a:
-                continue
-            row = basis[k]
-            p = row[k]
-            tail = range(k + 1, n)
-            if a % p == 0:
-                q = a // p
-                g = [0] * (k + 1) + [(g[j] - q * row[j]) % orders[j] for j in tail]
-                continue
-            d, s, t = _xgcd(p, a)
-            x, y = p // d, a // d
-            basis[k] = [0] * k + [d] + [(s * row[j] + t * g[j]) % orders[j] for j in tail]
-            g = [0] * (k + 1) + [(y * row[j] - x * g[j]) % orders[j] for j in tail]
+        insert_mod(basis, gens.row(i), orders)
     for k in range(n):
         row = basis[k]
         p = row[k]
@@ -310,6 +297,34 @@ def echelon_mod(gens: IntMatrix, orders: Sequence[int]) -> IntMatrix:
             if q:
                 _row_sub(basis, i, k, q)
     return _from_int_rows(basis, n)
+
+
+def insert_mod(basis: list[list[int]], g: Sequence[int], orders: Sequence[int]) -> None:
+    """Add ``g`` to the lattice of the square upper triangular ``basis``, in place.
+
+    The lattice must hold every ``orders[j] * e_j``.  ``g`` mod ``orders``
+    goes in column by column through a unimodular extended-gcd step with
+    that column's pivot row.  Every entry right of a pivot stays reduced mod
+    its column's order, as ``orders[j] * e_j`` lies in the span of rows
+    ``j..n-1`` of a triangular basis of a full-rank lattice.
+    """
+    n = len(orders)
+    g = [x % o for x, o in zip(g, orders)]
+    for k in range(n):
+        a = g[k]
+        if not a:
+            continue
+        row = basis[k]
+        p = row[k]
+        tail = range(k + 1, n)
+        if a % p == 0:
+            q = a // p
+            g = [0] * (k + 1) + [(g[j] - q * row[j]) % orders[j] for j in tail]
+            continue
+        d, s, t = _xgcd(p, a)
+        x, y = p // d, a // d
+        basis[k] = [0] * k + [d] + [(s * row[j] + t * g[j]) % orders[j] for j in tail]
+        g = [0] * (k + 1) + [(y * row[j] - x * g[j]) % orders[j] for j in tail]
 
 
 def kernel_mod(a: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
@@ -392,6 +407,8 @@ __all__ = [
     "kernel_mod",
     "echelon_lattice",
     "echelon_mod",
+    "insert_mod",
+    "MAX_WIDTH",
     "lattice_member",
     "lattice_coefficients",
     "gcd",

@@ -2,14 +2,18 @@
 
 import ast
 import inspect
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import groupcodes
+from groupcodes import control, finabel, intlinalg
 from groupcodes.cli import build_report
 from groupcodes.control import (
     Analysis,
+    DefectProfile,
     WindowOracle,
     _basis_rows,
     _splice_spans,
@@ -20,6 +24,7 @@ from groupcodes.control import (
     verify_verdict,
 )
 from groupcodes.errors import CapExceeded
+from groupcodes.families import block_family, z2_power_example
 from groupcodes.finabel import FiniteAbelianGroup, invariant_factors, subgroup_equal
 from groupcodes.intlinalg import snf
 from groupcodes.seqspace import (
@@ -235,9 +240,39 @@ def test_verdicts_read_the_defect_scan_not_the_subgroup():
     assert sorted(f"{m}.{x}" for m, node in methods.items() if m != "__init__" for x in names(node) & encoders) == []
     assert "h" not in {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)}
     assert "controllable_at" not in names(methods["controllable"])
-    # Segment defects read pivots, not canonicalised projections.
-    assert not names(methods["segment_defects"]) & {"uniformity_defect", "subgroup_equal"}
+    # Defects read the pivots of one insertion pass, not canonicalised parts or projections.
+    rebuilders = {"uniformity_defect", "part", "_project", "subgroup_equal", "echelon_mod"}
+    assert not names(methods["segment_defects"]) & rebuilders
+    assert not names(methods["uniformity_defect"]) & rebuilders
     assert [a.arg for a in methods["uniformity_defect"].args.args] == ["self", "j"]
+    # One extended-gcd insertion step serves every echelon form.
+    package = Path(groupcodes.__file__).parent
+    calls = [
+        node
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_xgcd"
+    ]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("h", [z2_power_example(4), block_family(2, (3, 4))], ids=["chain", "block"])
+def test_defect_tables_run_no_echelon(h, monkeypatch):
+    calls, echelon_mod = [], intlinalg.echelon_mod
+
+    def counted(gens, orders):
+        calls.append(len(orders))
+        return echelon_mod(gens, orders)
+
+    for module in (intlinalg, finabel, control):
+        monkeypatch.setattr(module, "echelon_mod", counted)
+    a = Analysis(h)
+    a.window
+    assert calls
+    calls.clear()
+    a.segment_defects
+    a.uniformity_defect((0,))
+    assert calls == []
 
 
 @PROPERTY
@@ -312,13 +347,35 @@ def test_segment_bases_are_blocks_of_the_window_basis(h):
         assert a._segment(n) == _basis_rows(a._project(None, tuple(range(n))))
 
 
+def _window_images(h, j):
+    """Projections onto ``j`` of the parts supported on ``[0, k]``, ``k = 0..W+L``, and of ``h``, by seqspace."""
+    w, l = effective_window(h)
+    return [project(intersect_sum_window(h, range(k + 1)), j) for k in range(w + l + 1)], project(h, j)
+
+
 @PROPERTY
 @given(product_subgroups())
 def test_segment_defects_are_the_uniformity_defects_of_segments(h):
-    a = Analysis(h)
-    expected = [a.uniformity_defect(range(n)).defect for n in range(1, a.w + a.l + 1)]
+    expected = []
+    for n in range(1, sum(effective_window(h)) + 1):
+        images, target = _window_images(h, range(n))
+        expected.append(images.index(target) if target in images else None)
     cut = expected.index(None) + 1 if None in expected else len(expected)
-    assert list(a.segment_defects) == expected[:cut]
+    assert list(Analysis(h).segment_defects) == expected[:cut]
+
+
+@PROPERTY
+@given(product_subgroups())
+def test_uniformity_defect_tables_match_the_window_images(h):
+    w, l = effective_window(h)
+    for j in [*(tuple(range(n)) for n in range(1, w + l + 1)), (w,), (0, w + l), (w, w + l), ()]:
+        images, target = _window_images(h, j)
+        defect = images.index(target) if target in images else None
+        tried = images if defect is None else images[: defect + 1]
+        profile = uniformity_defect(h, j)
+        assert profile == DefectProfile(j, defect, tuple((k, image.order()) for k, image in enumerate(tried)))
+    with pytest.raises(IndexError):
+        uniformity_defect(h, (-1, 0))
 
 
 @PROPERTY

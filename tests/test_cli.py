@@ -155,11 +155,28 @@ class TestReportSchema:
         with pytest.raises(ParseError):
             validate_report(report)
 
+    def test_certificates_must_be_a_list(self):
+        report = build_report(parse_subgroup(BLOCKS))
+        for certificates in (5, None):
+            with pytest.raises(ParseError):
+                validate_report({**report, "certificates": certificates})
+        # A one-key mapping has the length of a one-verdict list, but is not a list.
+        one = {**report, "verdicts": report["verdicts"][:1], "certificates": report["certificates"][:1]}
+        validate_report(one)
+        with pytest.raises(ParseError):
+            validate_report({**one, "certificates": {"kind": "projection_equality"}})
+
     def test_non_object_rejected(self):
         with pytest.raises(ParseError):
             parse_report("[1, 2]")
         with pytest.raises(ParseError):
             parse_report("not json")
+        # json raises ValueError on an integer past int's digit limit and
+        # RecursionError on deep nesting; both are bad reports.
+        with pytest.raises(ParseError):
+            parse_report('{"a": ' + "1" * 5000 + "}")
+        with pytest.raises(ParseError):
+            parse_report("[" * 100000)
 
 
 class TestCommands:
@@ -335,6 +352,18 @@ class TestExitCodes:
         code, err = run_quiet(["report"], BLOCKS)
         assert code == EXIT_CAP
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_oversized_window_is_refused_before_allocation(self, tmp_path):
+        # A 5000-value line gives a 5001-column window; its square echelon basis
+        # is refused up front instead of being allocated.
+        src = tmp_path / "h.txt"
+        src.write_text("tail: 2\ngen: " + " ".join(["1"] * 5000) + "\n")
+        argv = [sys.executable, "-m", "groupcodes", "check", "--input", str(src)]
+        env = {**os.environ, "PYTHONPATH": str(Path(groupcodes.__file__).parents[1])}
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == EXIT_CAP
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: a 5001-column echelon form") and done.stderr.count("\n") == 1
 
     def test_huge_kmax_without_working_gap_finishes(self, tmp_path):
         src = tmp_path / "h.txt"

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupcodes.intlinalg import (
+    MAX_WIDTH,
     IntMatrix,
     det,
     echelon_lattice,
     echelon_mod,
     hnf,
+    insert_mod,
     kernel_mod,
     lattice_coefficients,
     lattice_member,
@@ -286,6 +288,25 @@ class TestKernelProperties:
     def test_echelon_mod_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             echelon_mod(IntMatrix.zeros(1, 2), [2, 3, 4])
+
+    def test_echelon_mod_refuses_width_past_the_limit(self):
+        n = MAX_WIDTH + 1
+        with pytest.raises(MemoryError, match=f"^a {n}-column echelon form"):
+            echelon_mod(IntMatrix.zeros(1, n), [2] * n)
+
+    @PROPERTY
+    @given(lattice_cases())
+    def test_insert_mod_keeps_the_hermite_pivots(self, case):
+        # After each insertion the triangular basis has the pivots of the canonical basis of the prefix.
+        gens, orders = case
+        n = len(orders)
+        basis = [[o if j == k else 0 for j in range(n)] for k, o in enumerate(orders)]
+        for i in range(gens.rows):
+            insert_mod(basis, gens.row(i), orders)
+            assert all(not any(basis[k][:k]) for k in range(n))
+            canonical = echelon_mod(IntMatrix(i + 1, n, gens.entries[: (i + 1) * n]), orders)
+            assert [basis[k][k] for k in range(n)] == [canonical[k, k] for k in range(n)]
+        assert echelon_mod(IntMatrix.from_rows(basis, cols=n), orders) == echelon_mod(gens, orders)
 
 
 def determinantal_diagonal(m: IntMatrix) -> IntMatrix:
