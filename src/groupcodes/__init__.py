@@ -4,7 +4,15 @@ torsion subgroups of torus powers included.
 
 Everything is integer or rational arithmetic; no result is approximate
 unless an explicit tolerance parameter says so.
+
+The ``families``, ``structure`` and ``torus`` modules run on first use.
+They sit in ``sys.modules`` as lazy modules (``importlib.util.LazyLoader``),
+and a module ``__getattr__`` (PEP 562) serves the names re-exported from
+them, so ``import groupcodes.cli`` runs none of their code.
 """
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
@@ -79,22 +87,26 @@ from .seqspace import (
     window_subgroup,
     zero_element,
 )
-from .structure import DecompositionReport, decompose
-from .torus import (
-    TorusSeq,
-    TorusSeqSubgroup,
-    approximate_constant,
-    build_fk,
-    circle_dist,
-    closure_diff_check,
-    constant_seq,
-    in_span,
-    noncontrollability_witness,
-    qz,
-    qz_order,
-    qz_str,
-    to_product_subgroup,
-)
+
+
+def _lazy(name: str):
+    """Register the submodule ``name`` in ``sys.modules``; its code runs on the first attribute access."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+families, structure, torus = map(_lazy, ("families", "structure", "torus"))
+
+
+def __getattr__(name: str):
+    """The names of ``__all__`` not bound above, read from ``structure`` or ``torus``."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(structure if name in ("DecompositionReport", "decompose") else torus, name)
+
 
 __all__ = [
     "__version__",

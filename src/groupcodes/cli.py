@@ -24,10 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
-from . import __version__
+from . import __version__, families, structure, torus
 from .control import (
     STRONGLY_CONTROLLABLE,
     Analysis,
@@ -50,15 +49,6 @@ from .errors import (
     PreconditionFailed,
     SchemaMismatch,
 )
-from .families import (
-    block_family,
-    chain_family,
-    chain_layer_sum,
-    defect_growth,
-    dense_trivial_sum_family,
-    torsion_torus_example,
-    z2_power_chain,
-)
 from .finabel import FiniteAbelianGroup, invariant_factors, subgroup_equal
 from .seqspace import (
     CoordSchema,
@@ -67,17 +57,6 @@ from .seqspace import (
     intersect_directsum,
     project,
     subgroup_order,
-)
-from .structure import decompose
-from .torus import (
-    approximate_constant,
-    closure_diff_check,
-    in_span,
-    noncontrollability_witness,
-    qz,
-    qz_order,
-    qz_str,
-    to_product_subgroup,
 )
 
 EXIT_OK = 0
@@ -238,6 +217,7 @@ def _element_json(e: SeqElement) -> dict:
 
 
 def _evidence_json(ev: Certificate | Witness) -> dict:
+    """The evidence as a JSON-ready mapping; claim tuples pass through, as ``json`` writes tuples as arrays."""
     if isinstance(ev, Witness):
         return {
             "type": "witness",
@@ -253,14 +233,7 @@ def _evidence_json(ev: Certificate | Witness) -> dict:
         "kind": ev.kind,
         "note": ev.note,
         "claims": [
-            {
-                "j": list(c.j),
-                "lhs_basis": [list(r) for r in c.lhs_basis],
-                "rhs_basis": [list(r) for r in c.rhs_basis],
-                "n": c.n,
-                "k": c.k,
-            }
-            for c in ev.claims
+            {"j": c.j, "lhs_basis": c.lhs_basis, "rhs_basis": c.rhs_basis, "n": c.n, "k": c.k} for c in ev.claims
         ],
     }
 
@@ -286,6 +259,8 @@ def build_report(h: ProductSubgroup, kmax: int | None = None) -> dict:
     ]
     if not hierarchy_consistent({v.property: v.holds for v in verdicts}):
         raise InternalInconsistency("computed verdicts violate the implication chain")
+    # The weak verdict carries the controllable verdict's evidence object; it is rendered once.
+    certificates = [_evidence_json(v.evidence) for v in verdicts[1:]]
     report = {
         "engine_version": __version__,
         "schema": {
@@ -295,7 +270,7 @@ def build_report(h: ProductSubgroup, kmax: int | None = None) -> dict:
         "subgroup": {"gens": [_element_json(g) for g in h.gens]},
         "truncation_params": {"window": a.w, "period": a.l},
         "verdicts": [_verdict_json(v) for v in verdicts],
-        "certificates": [_evidence_json(v.evidence) for v in verdicts],
+        "certificates": certificates[:1] + certificates,
         "defect_profile": _profile_json(a.uniformity_defect((0,))),
         "invariant_factors": invariant_factors(a.window),
     }
@@ -362,8 +337,10 @@ class _Claims:
 
 
 def _plain(value: Any) -> Any:
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
-        return qz_str(value)
+        return torus.qz_str(value)
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value
@@ -372,39 +349,41 @@ def _plain(value: Any) -> Any:
 def _reproduce_chain_growth(claims: _Claims) -> None:
     """Ascending chains over powers of Z/2: controllable, defect one below depth."""
     for depth in range(2, 7):
-        m, chain = z2_power_chain(depth)
-        a = Analysis(chain_family(m, chain))
+        m, chain = families.z2_power_chain(depth)
+        a = Analysis(families.chain_family(m, chain))
         claims.check(f"depth {depth}: controllable", True, a.controllable().holds)
         claims.check(f"depth {depth}: defect at coordinate 0", depth - 1, a.uniformity_defect((0,)).defect)
         window = range(a.w + a.l)
-        faces = all(subgroup_equal(a.part(k), project(chain_layer_sum(m, chain, k), window)) for k in range(depth))
+        faces = all(subgroup_equal(a.part(k), project(families.chain_layer_sum(m, chain, k), window)) for k in range(depth))
         claims.check(f"depth {depth}: finite-faces identity", True, faces)
 
 
 def _reproduce_torus(claims: _Claims) -> None:
     """Torus steps at odd prime reciprocals plus the constant one half."""
-    tsub = torsion_torus_example(4)
-    half = qz(1, 2)
-    claims.check("1/2 outside the span of the steps", False, in_span(half, tsub.y))
+    from fractions import Fraction
+
+    tsub = families.torsion_torus_example(4)
+    half = torus.qz(1, 2)
+    claims.check("1/2 outside the span of the steps", False, torus.in_span(half, tsub.y))
     for g, tag in zip(tsub.gens, tsub.tags):
-        claims.check(f"closure differences hold for {tag}", (True, None), closure_diff_check(g, tsub.y))
-    verdict = noncontrollability_witness(tsub, half)
+        claims.check(f"closure differences hold for {tag}", (True, None), torus.closure_diff_check(g, tsub.y))
+    verdict = torus.noncontrollability_witness(tsub, half)
     claims.check("witness verdict: not controllable", False, verdict.holds)
-    ps, _q = to_product_subgroup(tsub)
+    ps, _q = torus.to_product_subgroup(tsub)
     claims.check("witness re-verifies", True, verify_verdict(ps, verdict))
-    claims.check("step orders are odd", True, all(qz_order(v) % 2 == 1 for v in tsub.y))
-    claims.check("constant value has even order", 2, qz_order(half))
+    claims.check("step orders are odd", True, all(torus.qz_order(v) % 2 == 1 for v in tsub.y))
+    claims.check("constant value has even order", 2, torus.qz_order(half))
     claims.check(
         "closest step multiple to 1/2 on coordinate 0 within 1/10",
         [2, 3],
-        list(approximate_constant(half, tsub.y, (0,), Fraction(1, 10)) or ()),
+        list(torus.approximate_constant(half, tsub.y, (0,), Fraction(1, 10)) or ()),
     )
 
 
 def _reproduce_dense(claims: _Claims) -> None:
     """Residue-class family: trivial finite-support part, full finite faces."""
     group = FiniteAbelianGroup((2,))
-    h = dense_trivial_sum_family(group, 3, 12)
+    h = families.dense_trivial_sum_family(group, 3, 12)
     dsum = intersect_directsum(h)
     claims.check("finite-support part is trivial", 1, subgroup_order(dsum))
     for j in range(12):
@@ -416,7 +395,7 @@ def _reproduce_dense(claims: _Claims) -> None:
 
 def _reproduce_blocks(claims: _Claims) -> None:
     """Two blocks over Z/2: uniform but not k-controllable below the block size."""
-    h = block_family(2, (2, 3))
+    h = families.block_family(2, (2, 3))
     a = Analysis(h)
     claims.check("uniformly controllable", True, a.uniformly_controllable().holds)
     for k in range(2):
@@ -562,7 +541,7 @@ def cmd_defect(args: argparse.Namespace, out: TextIO) -> int:
     if args.family:
         if args.depths is None:
             raise ParseError("--family requires --depths a..b")
-        rows = defect_growth(args.family, _depths_arg(args.depths), _coords_arg(args.coords))
+        rows = families.defect_growth(args.family, _depths_arg(args.depths), _coords_arg(args.coords))
         if args.format == "json":
             payload = [
                 {
@@ -635,7 +614,7 @@ def cmd_kcontrol(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_decompose(args: argparse.Namespace, out: TextIO) -> int:
     h = parse_subgroup(_read_input(args.input))
-    report = decompose(h)
+    report = structure.decompose(h)
     if args.format == "json":
         payload = {
             "window": list(report.window),
@@ -733,6 +712,10 @@ def main(argv: Sequence[str] | None = None, out: TextIO | None = None) -> int:
     try:
         # Argument types raise ParseError, which argparse passes through.
         args = parser.parse_args(argv)
+        # argparse strips the "--" of "--opt=--" and leaves an empty list as the value.
+        empty = next((name for name, value in vars(args).items() if isinstance(value, list)), None)
+        if empty is not None:
+            raise ParseError(f"--{empty} needs a value")
         return args.func(args, out)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

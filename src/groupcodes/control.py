@@ -33,11 +33,13 @@ the columns of ``W + (i - W) % L``, the block coordinate it repeats.
 
 Segment data are read in natural column order: by the suffix property the
 projection onto ``[0, n)`` is the upper-left block of the window's canonical
-basis.  The parts are nested, and ``part(k + 1)`` is ``part(k)`` plus the
-basis rows whose pivots lie in coordinate ``k + 1``.  So one pass grows them
-all: it inserts those rows with ``insert_mod`` into ``diag(orders)`` on the
-chosen columns, a coordinate at a time from coordinate 0, and records the
-diagonal after each (incremental HNF, Micciancio and Warinschi, ISSAC 2001).
+basis.  Each block is cut once per analysis, and the plain, uniform and
+splice claims share it.  The parts are nested, and ``part(k + 1)`` is
+``part(k)`` plus the basis rows whose pivots lie in coordinate ``k + 1``.
+So one pass grows them all: it inserts those rows with ``insert_mod`` into
+``diag(orders)`` on the chosen columns, a coordinate at a time from
+coordinate 0, and records the diagonal after each (incremental HNF,
+Micciancio and Warinschi, ISSAC 2001).
 Any triangular basis of a full-rank lattice has the Hermite pivots, so each
 recorded diagonal is a part's, and the last is the subgroup's.  ``part(k)``
 lies in ``part(k + 1)`` and in ``H``, so a pivot of ``part(k)`` that equals
@@ -64,14 +66,25 @@ gap ``k`` exactly when ``d(n) <= n + k - 1`` (cut 0 always does), the least
 gap is ``max(0, max_n d(n) - n + 1)``, none if some ``d(n)`` is None, and at
 a cut that splices both spans have the block-diagonal join of the past and
 future images' canonical bases as their basis.
+
+The futures ``[m, W + L)``, ``m = k..W``, come from one suffix sweep.  The
+rows of the canonical basis of the projection onto ``[m, W + L)`` whose
+pivots lie past coordinate ``m`` span exactly its vectors that vanish on
+``m`` (the suffix property, Cohen, GTM 138, 2.4).  So the projection onto
+``[m + 1, W + L)`` is that lower-right block with the tails of the other
+rows inserted by ``insert_mod`` and the entries above its pivots reduced
+again; one ``echelon_mod`` starts the sweep at ``m = min(k, W)``.  These
+are the future state spaces of a minimal trellis (Forney and Trott, IEEE
+Trans. IT 39(5), 1993).  A future past ``W`` folds onto a rotation of
+``[W, W + L)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, count
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalInconsistency
 from .finabel import (
@@ -82,7 +95,7 @@ from .finabel import (
     span,
     subgroup_equal,
 )
-from .intlinalg import IntMatrix, echelon_mod, insert_mod
+from .intlinalg import IntMatrix, echelon_mod, insert_mod, reduce_above_pivots
 from .seqspace import (
     CoordSchema,
     ProductSubgroup,
@@ -190,16 +203,20 @@ class Analysis:
     columns laid out last coordinate first, and one ``echelon_mod`` gives
     the triangular basis of all their representatives.  Window parts and
     projections are column slices of the generator rows or of a tail of
-    that basis; they and the segment defects are memoised.  A segment's
-    basis is an upper-left block of the window's basis.  One pass inserts
-    the basis rows into ``diag(orders)`` a coordinate at a time and records
-    the pivots of every window part; a segment's defect is a running
-    maximum over them, and ``uniformity_defect`` reads the parts' image
-    orders off the same pass on its coordinates.  The plain,
-    uniform, k- and strong verdicts all read ``segment_defects``; the first
-    None there is the first failing segment.  The subgroup itself is read
-    only while encoding.  An instance serves one call; nothing is cached
-    across instances.
+    that basis; they, the window's basis rows, the segment bases and the
+    segment defects are memoised on the instance.  A segment's basis is an
+    upper-left block of the window's basis, cut once and shared by every
+    verdict's claims.  The futures of ``k_controllable(k)`` come from one
+    suffix sweep that starts with one ``echelon_mod`` at coordinate ``k``
+    (Cohen, GTM 138, 2.4); only the folded futures past ``W`` and the
+    witnesses are projected on their own.  One pass inserts the basis rows
+    into ``diag(orders)`` a coordinate at a time and records the pivots of
+    every window part; a segment's defect is a running maximum over them,
+    and ``uniformity_defect`` reads the parts' image orders off the same
+    pass on its coordinates.  The plain, uniform, k- and strong verdicts
+    all read ``segment_defects``; the first None there is the first failing
+    segment.  The subgroup itself is read only while encoding.  An instance
+    serves one call; nothing is cached across instances.
     """
 
     def __init__(self, h: ProductSubgroup):
@@ -214,15 +231,20 @@ class Analysis:
         basis = echelon_mod(IntMatrix(len(self._gen_rows), len(self._orders), flat), self._orders)
         self._basis_rows = [basis.row(i) for i in range(basis.rows)]
         self._projections: dict[tuple[int | None, tuple[int, ...]], Subgroup] = {}
+        self._segments: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def part(self, k: int) -> Subgroup:
         """Elements supported inside ``[0, k]``, on the window ``[0, W + L)``."""
         return self._project(k, tuple(range(self.w + self.l)))
 
-    @property
+    @cached_property
     def window(self) -> Subgroup:
         """The subgroup on ``[0, W + L)``: ``window_subgroup(h)``'s subgroup."""
         return self._project(None, tuple(range(self.w + self.l)))
+
+    @cached_property
+    def _window_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _basis_rows(self.window)
 
     def _columns(self, coords: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
         """The sorted ``coords`` with ``i >= W + L`` folded onto ``W + (i - W) % L``, and their columns."""
@@ -252,9 +274,35 @@ class Analysis:
         return self._projections[key]
 
     def _segment(self, n: int) -> tuple[tuple[int, ...], ...]:
-        """Canonical basis of the projection onto ``[0, n)``: the upper-left block of the window's."""
-        m, basis = self._offsets[n], self.window.basis
-        return tuple(basis.row(i)[:m] for i in range(m))
+        """Canonical basis of the projection onto ``[0, n)``: the upper-left block of the window's, memoised."""
+        if n not in self._segments:
+            m = self._offsets[n]
+            self._segments[n] = tuple(r[:m] for r in self._window_rows[:m])
+        return self._segments[n]
+
+    def _futures(self, k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Canonical bases of the futures ``[m, max(W, m) + L)`` for ``m = k, k + 1, ...``.
+
+        Up to ``m = W`` they come from the suffix sweep the module docstring
+        describes.  Past ``W`` a future folds onto a rotation of ``[W, W + L)``:
+        by whole blocks it is the sweep's last basis, otherwise a projection.
+        """
+        w, l, offsets, orders = self.w, self.l, self._offsets, self.window.parent.orders
+        m = min(k, w)
+        rows = _basis_rows(self._project(None, tuple(range(m, w + l))))
+        while True:
+            if m >= k:
+                yield rows
+            if m == w:
+                break
+            g = offsets[m + 1] - offsets[m]
+            basis, tail = [list(r[g:]) for r in rows[g:]], orders[offsets[m + 1] :]
+            for r in rows[:g]:
+                insert_mod(basis, r[g:], tail)
+            reduce_above_pivots(basis)
+            rows, m = tuple(map(tuple, basis)), m + 1
+        for m in count(max(k, w + 1)):
+            yield rows if (m - w) % l == 0 else _basis_rows(self._project(None, tuple(range(m, m + l))))
 
     def controllable_at(self, j: Iterable[int]) -> Verdict:
         coords = tuple(sorted(set(j)))
@@ -356,9 +404,9 @@ class Analysis:
             raise ValueError("gap must be non-negative")
         defects = self.segment_defects
         claims = []
-        for n in range(self.w + self.l + 1):
+        for n, lower in zip(range(self.w + self.l + 1), self._futures(k)):
             past, future = tuple(range(n)), tuple(range(n + k, max(self.w, n + k) + self.l))
-            upper, lower = self._segment(n), _basis_rows(self._project(None, future))
+            upper = self._segment(n)
             basis = tuple(r + (0,) * len(lower) for r in upper) + tuple((0,) * len(upper) + r for r in lower)
             coords = past + future
             if n and (defects[n - 1] is None or defects[n - 1] > n + k - 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .control import Analysis, DefectProfile
 from .errors import ChainNotStrict, PreconditionFailed
@@ -23,6 +23,7 @@ from .finabel import (
     subgroup_equal,
     subgroup_le,
 )
+from .intlinalg import MAX_WIDTH
 from .seqspace import (
     ProductSubgroup,
     SeqElement,
@@ -186,22 +187,30 @@ class GrowthRow:
     strong: int | None
 
 
-def defect_growth(kind: str, grid: Iterable[int], j: Sequence[int] = (0,)) -> list[GrowthRow]:
+# Each growth family: its member at a parameter and the width of that member's window in columns.
+_GROWTH = {
+    "chain": (z2_power_example, lambda depth: depth * (depth + 1)),
+    "block": (lambda size: block_family(2, (2, size)), lambda size: size + 3),
+}
+
+
+def defect_growth(kind: str, grid: Sequence[int], j: Sequence[int] = (0,)) -> list[GrowthRow]:
     """Defect and splice-gap growth along a parameter grid.
 
     ``kind`` selects the family: "chain" grows the chain depth of the
     z2 power example; "block" grows the largest block of a two-block family
-    over ``Z/2``.
+    over ``Z/2``.  Before any member is built, a parameter whose window is
+    wider than ``MAX_WIDTH`` columns raises ``MemoryError``.
     """
+    if kind not in _GROWTH:
+        raise PreconditionFailed(f"unknown growth family {kind!r}")
+    build, width = _GROWTH[kind]
+    wide = next((p for p in grid if width(p) > MAX_WIDTH), None)
+    if wide is not None:
+        raise MemoryError(f"parameter {wide} needs a {width(wide)}-column window, above the {MAX_WIDTH}-column limit")
     rows = []
     for parameter in grid:
-        if kind == "chain":
-            h = z2_power_example(parameter)
-        elif kind == "block":
-            h = block_family(2, (2, parameter))
-        else:
-            raise PreconditionFailed(f"unknown growth family {kind!r}")
-        a = Analysis(h)
+        a = Analysis(build(parameter))
         rows.append(GrowthRow(parameter, a.uniformity_defect(j), a.controllable().holds, a.gap()))
     return rows
 

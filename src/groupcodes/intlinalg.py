@@ -274,9 +274,9 @@ def echelon_mod(gens: IntMatrix, orders: Sequence[int]) -> IntMatrix:
     Equals ``echelon_lattice(gens.vstack(IntMatrix.diagonal(orders)))``
     for positive ``orders``, computed with bounded entries: the basis
     starts as the triangular ``diag(orders)``, each generator is inserted
-    by ``insert_mod``, and a last pass reduces the entries above each pivot
-    into ``[0, pivot)``.  The row HNF of a lattice is unique, so the result
-    is the same matrix the general HNF produces.  A width above
+    by ``insert_mod``, and ``reduce_above_pivots`` reduces the entries above
+    each pivot into ``[0, pivot)``.  The row HNF of a lattice is unique, so
+    the result is the same matrix the general HNF produces.  A width above
     ``MAX_WIDTH`` raises ``MemoryError`` before the square basis is built.
     """
     n = len(orders)
@@ -289,14 +289,21 @@ def echelon_mod(gens: IntMatrix, orders: Sequence[int]) -> IntMatrix:
         basis[k][k] = o
     for i in range(gens.rows):
         insert_mod(basis, gens.row(i), orders)
-    for k in range(n):
-        row = basis[k]
-        p = row[k]
+    reduce_above_pivots(basis)
+    return _from_int_rows(basis, n)
+
+
+def reduce_above_pivots(basis: list[list[int]]) -> None:
+    """Reduce the entries above each pivot of a square upper triangular ``basis`` into ``[0, pivot)``, in place.
+
+    With positive pivots the result is the row HNF of the same lattice.
+    """
+    for k in range(len(basis)):
+        p = basis[k][k]
         for i in range(k):
             q = basis[i][k] // p
             if q:
                 _row_sub(basis, i, k, q)
-    return _from_int_rows(basis, n)
 
 
 def insert_mod(basis: list[list[int]], g: Sequence[int], orders: Sequence[int]) -> None:
@@ -408,6 +415,7 @@ __all__ = [
     "echelon_lattice",
     "echelon_mod",
     "insert_mod",
+    "reduce_above_pivots",
     "MAX_WIDTH",
     "lattice_member",
     "lattice_coefficients",

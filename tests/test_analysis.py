@@ -347,6 +347,39 @@ def test_segment_bases_are_blocks_of_the_window_basis(h):
         assert a._segment(n) == _basis_rows(a._project(None, tuple(range(n))))
 
 
+@PROPERTY
+@given(product_subgroups())
+def test_future_sweep_gives_the_canonical_futures(h):
+    a = Analysis(h)
+    w, l = a.w, a.l
+    for k in range(w + 2 * l + 1):
+        futures = a._futures(k)
+        for m in range(k, w + 2 * l + 1):
+            expected = project(h, range(m, w + l) if m <= w else range(m, m + l))
+            assert next(futures) == _basis_rows(expected)
+
+
+@pytest.mark.parametrize(
+    "h", [block_family(2, (2,) * 12), block_family(2, (4, 16)), z2_power_example(4)], ids=["gap-1", "block", "chain"]
+)
+def test_holding_k_controllable_runs_at_most_one_echelon(h, monkeypatch):
+    calls, echelon_mod = [], intlinalg.echelon_mod
+
+    def counted(gens, orders):
+        calls.append(len(orders))
+        return echelon_mod(gens, orders)
+
+    for module in (intlinalg, finabel, control):
+        monkeypatch.setattr(module, "echelon_mod", counted)
+    gap, w, l = Analysis(h).gap(), *effective_window(h)
+    for k in range(gap, w + l + 2):
+        a = Analysis(h)
+        a.window
+        calls.clear()
+        assert a.k_controllable(k).holds
+        assert len(calls) <= 1, (k, calls)
+
+
 def _window_images(h, j):
     """Projections onto ``j`` of the parts supported on ``[0, k]``, ``k = 0..W+L``, and of ``h``, by seqspace."""
     w, l = effective_window(h)

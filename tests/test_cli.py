@@ -1,5 +1,6 @@
 """Front end: parsing, formats, exit codes, reports, reproductions."""
 
+import argparse
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groupcodes
+from groupcodes import families
 from groupcodes.cli import (
     EXIT_CAP,
     EXIT_INCONSISTENT,
@@ -21,6 +23,7 @@ from groupcodes.cli import (
     EXIT_OK,
     EXIT_PARSE,
     REPRODUCE_IDS,
+    build_parser,
     build_report,
     main,
     parse_report,
@@ -417,6 +420,18 @@ DEPTH_ENDS = st.sampled_from(["", "1", "2", "²", "-1", "١", "x"])
 COMMANDS = (["check"], ["check", "--cap", "30"], ["report"], ["kcontrol"], ["defect"], ["decompose"])
 
 
+def _long_options():
+    """``(command, option)`` for every long option of every subcommand but ``--help``."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, option)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    ]
+
+
 class TestMalformedInputFuzz:
     """Any small grammar-shaped input ends with a defined exit code and at most one error line."""
 
@@ -433,6 +448,22 @@ class TestMalformedInputFuzz:
             assert code in (EXIT_OK, EXIT_PARSE, EXIT_CAP)
             if code != EXIT_OK:
                 assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("command, option", _long_options())
+    def test_option_given_a_bare_double_dash(self, command, option):
+        # argparse strips the "--" of "--opt=--" and hands the command an empty list.
+        required = ["--id", "thm-7.1"] if command == "reproduce" and option != "--id" else []
+        code, err = run_quiet([command, f"{option}=--", *required], BLOCKS)
+        assert (code, err) == (EXIT_PARSE, f"error: {option} needs a value\n")
+
+    def test_family_range_past_the_width_limit_builds_no_member(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a family member was built")
+
+        monkeypatch.setattr(families, "chain_family", refuse)
+        code, err = run_quiet(["defect", "--family", "chain", "--depths", "2..200"])
+        assert code == EXIT_CAP
+        assert err == "error: parameter 64 needs a 4160-column window, above the 4096-column limit; try a smaller instance\n"
 
 
 class TestReproduce:

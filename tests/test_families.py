@@ -13,6 +13,7 @@ from groupcodes.control import (
 )
 from groupcodes.errors import ChainNotStrict, PreconditionFailed
 from groupcodes.families import (
+    _GROWTH,
     GrowthRow,
     block_family,
     chain_faces_hold,
@@ -201,3 +202,14 @@ class TestDefectGrowth:
     def test_unknown_family(self):
         with pytest.raises(PreconditionFailed):
             defect_growth("nope", (1,))
+
+    @pytest.mark.parametrize("kind", sorted(_GROWTH))
+    def test_window_widths_are_the_members_windows(self, kind):
+        build, width = _GROWTH[kind]
+        for parameter in range(1, 7):
+            h = build(parameter)
+            assert width(parameter) == sum(h.schema.group_at(i).n for i in range(sum(effective_window(h))))
+
+    def test_a_range_past_the_width_limit_is_refused_before_any_member(self):
+        with pytest.raises(MemoryError, match="parameter 64 needs a 4160-column window"):
+            defect_growth("chain", range(1, 10**12))

@@ -4,6 +4,9 @@ every public one is reached by the package, the benchmark or the acceptance
 suite."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,19 @@ def test_every_public_name_is_reached(path):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
     assert sorted(n.name for n in public if n.name not in outside and n.name not in _referenced(n)) == []
+
+
+def test_cli_import_runs_no_optional_layer():
+    # families, structure and torus wait in sys.modules as lazy modules until first use; fractions comes with torus.
+    names = ("fractions", "groupcodes.families", "groupcodes.structure", "groupcodes.torus")
+    code = f"import sys, types, groupcodes.cli; print([n for n in {names!r} if type(sys.modules.get(n)) is types.ModuleType])"
+    env = {**os.environ, "PYTHONPATH": str(Path(groupcodes.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_every_package_name_resolves():
+    assert all(getattr(groupcodes, name) is not None for name in groupcodes.__all__)
+    assert groupcodes.decompose is groupcodes.structure.decompose
+    with pytest.raises(AttributeError):
+        groupcodes.no_such_name

@@ -57,6 +57,18 @@ def test_corpus_includes_an_empty_window():
     assert any(effective_window(h)[0] == 0 for h in random_subgroups(20261019, 160))
 
 
+# Report SHA-256 of one gap-1 family and one two-block family, each on its own.
+FAMILY_DIGESTS = {
+    (2, (2,) * 12): "b057391ac223ac02376fe857358e4d65f2457027d6b6671cee9cc2b4e5e78b7b",
+    (2, (4, 16)): "758fdcd1116bb103e170504aab7860d3bac96d30d11614e9257c00d5538325e7",
+}
+
+
+def test_family_reports_match_their_frozen_digests():
+    for (p, sizes), expected in FAMILY_DIGESTS.items():
+        assert hashlib.sha256(render_json(build_report(block_family(p, sizes))).encode()).hexdigest() == expected
+
+
 def test_report_bytes_match_the_frozen_digest():
     digest = hashlib.sha256()
     for h in corpus():
