@@ -22,9 +22,11 @@ Exit codes: 0 success, 1 a reproduction claim failed, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
-from typing import Any, Callable, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__, families, structure, torus
 from .control import (
@@ -66,7 +68,7 @@ EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
 EXIT_IO = 5
 
-# kcontrol writes its gap lines (or JSON entries) in blocks: memory stays flat and an unbuffered stdout is not written line by line.
+# Pieces are written in blocks of this many: memory stays flat and an unbuffered stdout is not written piece by piece.
 LINES_PER_WRITE = 4096
 
 
@@ -278,9 +280,17 @@ def build_report(h: ProductSubgroup, kmax: int | None = None) -> dict:
     return report
 
 
+def _json_pieces(obj: Any) -> Iterator[str]:
+    """Canonical JSON as it is encoded: sorted keys, two-space indent, trailing newline.
+
+    With ``indent`` set, ``json.dumps`` joins the pieces of this same encoder.
+    """
+    return itertools.chain(json.JSONEncoder(sort_keys=True, indent=2).iterencode(obj), ("\n",))
+
+
 def render_json(obj: Any) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return "".join(_json_pieces(obj))
 
 
 def validate_report(obj: Any) -> None:
@@ -400,7 +410,7 @@ def _reproduce_blocks(claims: _Claims) -> None:
     claims.check("uniformly controllable", True, a.uniformly_controllable().holds)
     for k in range(2):
         claims.check(f"{k}-controllable", False, a.k_controllable(k).holds)
-    idx = a.gap()
+    idx = a.least_gap()
     claims.check("least working gap", 2, idx)
     oracle = WindowOracle(h)
     claims.check("least working gap, by enumeration", oracle.strong_index(), idx)
@@ -440,17 +450,19 @@ def _read_input(path: str | None) -> str:
         return fh.read()
 
 
-def _write_output(text: str, path: str | None, out: TextIO) -> None:
-    _write_chunks((text,), path, out)
+def _write_chunks(pieces: Iterable[str], path: str | None, out: TextIO) -> None:
+    """Write the pieces as they are produced, ``LINES_PER_WRITE`` to a write, to ``out`` or the file ``path``."""
+    pieces = iter(pieces)
+    with contextlib.nullcontext(out) if path is None else open(path, "w", encoding="utf-8") as fh:
+        while block := list(itertools.islice(pieces, LINES_PER_WRITE)):
+            fh.write("".join(block))
 
 
-def _write_chunks(chunks: Iterable[str], path: str | None, out: TextIO) -> None:
-    """Write each chunk as it is produced, so output of any length streams."""
-    if path is None:
-        out.writelines(chunks)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+def _write_format(args: argparse.Namespace, out: TextIO, payload: Any, lines: Iterable[str]) -> int:
+    """Write ``payload`` as canonical JSON when ``--format json``, else the text ``lines``, each ended by a newline."""
+    pieces = _json_pieces(payload) if args.format == "json" else (line + "\n" for line in lines)
+    _write_chunks(pieces, args.out, out)
+    return EXIT_OK
 
 
 def _yesno(b: bool) -> str:
@@ -462,18 +474,13 @@ def cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     report = build_report(h, kmax=args.kmax)
     if args.cap is not None:
         _cross_check(h, report, args.cap)
-    if args.format == "json":
-        _write_output(render_json(report), args.out, out)
-        return EXIT_OK
     window = report["truncation_params"]
     lines = [f"window: explicit {window['window']}, repeating block {window['period']}"]
     for v in report["verdicts"]:
-        label = v["property"]
-        extra = f" (least gap {v['k']})" if label == STRONGLY_CONTROLLABLE and v["k"] is not None else ""
-        lines.append(f"{label}: {_yesno(v['holds'])}{extra}")
+        extra = f" (least gap {v['k']})" if v["property"] == STRONGLY_CONTROLLABLE and v["k"] is not None else ""
+        lines.append(f"{v['property']}: {_yesno(v['holds'])}{extra}")
     lines.append(f"invariant factors: {report['invariant_factors']}")
-    _write_output("\n".join(lines) + "\n", args.out, out)
-    return EXIT_OK
+    return _write_format(args, out, report, lines)
 
 
 def _cross_check(h: ProductSubgroup, report: dict, cap: int) -> None:
@@ -526,15 +533,14 @@ def _non_negative_arg(flag: str, what: str) -> Callable[[str], int]:
 _gap_bound_arg = _non_negative_arg("--kmax", "gap bound")
 
 
-def _profile_csv(rows: Iterable[tuple[Any, int, int, Any]]) -> str:
-    out = ["parameter,k,image_order,defect"]
+def _profile_csv(rows: Iterable[tuple[Any, int, int, Any]]) -> Iterator[str]:
+    yield "parameter,k,image_order,defect"
     for parameter, k, image_order, defect in rows:
-        out.append(f"{parameter},{k},{image_order},{'' if defect is None else defect}")
-    return "\n".join(out) + "\n"
+        yield f"{parameter},{k},{image_order},{'' if defect is None else defect}"
 
 
-def _profile_rows(parameter: Any, profile: DefectProfile) -> list[tuple[Any, int, int, Any]]:
-    return [(parameter, k, order, profile.defect) for k, order in profile.table]
+def _profile_rows(parameter: Any, profile: DefectProfile) -> Iterator[tuple[Any, int, int, Any]]:
+    return ((parameter, k, order, profile.defect) for k, order in profile.table)
 
 
 def cmd_defect(args: argparse.Namespace, out: TextIO) -> int:
@@ -542,115 +548,74 @@ def cmd_defect(args: argparse.Namespace, out: TextIO) -> int:
         if args.depths is None:
             raise ParseError("--family requires --depths a..b")
         rows = families.defect_growth(args.family, _depths_arg(args.depths), _coords_arg(args.coords))
-        if args.format == "json":
-            payload = [
-                {
-                    "parameter": r.parameter,
-                    "defect": r.profile.defect,
-                    "controllable": r.controllable,
-                    "least_gap": r.strong,
-                    "table": [[k, order] for k, order in r.profile.table],
-                }
-                for r in rows
-            ]
-            _write_output(render_json(payload), args.out, out)
-        elif args.format == "csv":
-            flat = [row for r in rows for row in _profile_rows(r.parameter, r.profile)]
-            _write_output(_profile_csv(flat), args.out, out)
+        payload = [
+            {"parameter": r.parameter, "defect": r.profile.defect, "table": r.profile.table,
+             "controllable": r.controllable, "least_gap": r.strong}
+            for r in rows
+        ]
+        if args.format == "csv":
+            lines = _profile_csv(row for r in rows for row in _profile_rows(r.parameter, r.profile))
         else:
-            lines = [
+            lines = (
                 f"parameter {r.parameter}: defect {r.profile.defect}, "
                 f"controllable {_yesno(r.controllable)}, least gap {r.strong}"
                 for r in rows
-            ]
-            _write_output("\n".join(lines) + "\n", args.out, out)
-        return EXIT_OK
+            )
+        return _write_format(args, out, payload, lines)
     h = parse_subgroup(_read_input(args.input))
     coords = _coords_arg(args.coords)
     profile = uniformity_defect(h, coords)
-    label = ";".join(map(str, coords))
-    if args.format == "json":
-        _write_output(render_json(_profile_json(profile)), args.out, out)
-    elif args.format == "csv":
-        _write_output(_profile_csv(_profile_rows(label, profile)), args.out, out)
+    if args.format == "csv":
+        lines = _profile_csv(_profile_rows(";".join(map(str, coords)), profile))
     else:
-        lines = [f"coordinates: {list(coords)}"]
-        for k, order in profile.table:
-            lines.append(f"window [0, {k}]: image order {order}")
-        defect = "exceeds the effective window" if profile.exceeds_window else profile.defect
-        lines.append(f"defect: {defect}")
-        _write_output("\n".join(lines) + "\n", args.out, out)
-    return EXIT_OK
+        lines = [
+            f"coordinates: {list(coords)}",
+            *(f"window [0, {k}]: image order {order}" for k, order in profile.table),
+            f"defect: {'exceeds the effective window' if profile.exceeds_window else profile.defect}",
+        ]
+    return _write_format(args, out, _profile_json(profile), lines)
 
 
 def cmd_kcontrol(args: argparse.Namespace, out: TextIO) -> int:
     a = Analysis(parse_subgroup(_read_input(args.input)))
     kmax = (a.w + a.l) if args.kmax is None else args.kmax
-    gap, idx = a.gap(), a.least_gap(kmax)
-
-    def blocks(head: str, line: Callable[[int, bool], str], last: str) -> Iterable[str]:
-        yield head
-        for start in range(0, kmax + 1, LINES_PER_WRITE):
-            gaps = range(start, min(start + LINES_PER_WRITE, kmax + 1))
-            yield "".join(line(k, gap is not None and k >= gap) for k in gaps)
-        yield last
-
+    gap, idx = a.least_gap(), a.least_gap(kmax)
+    holds = ((k, gap is not None and k >= gap) for k in range(kmax + 1))
     if args.format == "json":
         # The bytes of render_json({"kmax": .., "least_gap": .., "results": [{"holds": .., "k": ..}, ..]}).
-        chunks = blocks(
-            f'{{\n  "kmax": {kmax},\n  "least_gap": {json.dumps(idx)},\n  "results": [',
-            lambda k, holds: f'{"," if k else ""}\n    {{\n      "holds": {json.dumps(holds)},\n      "k": {k}\n    }}',
-            "\n  ]\n}\n",
+        head = f'{{\n  "kmax": {kmax},\n  "least_gap": {"null" if idx is None else idx},\n  "results": ['
+        lines = (
+            f'{"," if k else ""}\n    {{\n      "holds": {"true" if ok else "false"},\n      "k": {k}\n    }}'
+            for k, ok in holds
         )
+        last = "\n  ]\n}\n"
     else:
-        chunks = blocks(
-            "",
-            lambda k, holds: f"gap {k}: {_yesno(holds)}\n",
-            f"least working gap: {'none up to ' + str(kmax) if idx is None else idx}\n",
-        )
-    _write_chunks(chunks, args.out, out)
+        head, last = "", f"least working gap: {'none up to ' + str(kmax) if idx is None else idx}\n"
+        lines = (f"gap {k}: {_yesno(ok)}\n" for k, ok in holds)
+    _write_chunks(itertools.chain((head,), lines, (last,)), args.out, out)
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace, out: TextIO) -> int:
     h = parse_subgroup(_read_input(args.input))
     report = structure.decompose(h)
-    if args.format == "json":
-        payload = {
-            "window": list(report.window),
-            "invariant_factors": list(report.factors),
-            "order": report.order,
-        }
-        _write_output(render_json(payload), args.out, out)
-        return EXIT_OK
+    payload = {"window": list(report.window), "invariant_factors": list(report.factors), "order": report.order}
     lines = [
         f"window: explicit {report.window[0]}, repeating block {report.window[1]}",
         f"order: {report.order}",
         f"invariant factors: {list(report.factors)}",
     ]
-    _write_output("\n".join(lines) + "\n", args.out, out)
-    return EXIT_OK
-
-
-def cmd_report(args: argparse.Namespace, out: TextIO) -> int:
-    h = parse_subgroup(_read_input(args.input))
-    report = build_report(h, kmax=args.kmax)
-    _write_output(render_json(report), args.out, out)
-    return EXIT_OK
+    return _write_format(args, out, payload, lines)
 
 
 def cmd_reproduce(args: argparse.Namespace, out: TextIO) -> int:
     result = run_reproduce(args.id)
-    if args.format == "json":
-        _write_output(render_json(result), args.out, out)
-    else:
-        lines = []
-        for row in result["claims"]:
-            status = "PASS" if row["pass"] else "FAIL"
-            detail = "" if row["pass"] else f" (expected {row['expected']!r}, got {row['actual']!r})"
-            lines.append(f"{status} {result['id']}: {row['name']}{detail}")
-        lines.append(f"{result['id']}: {'all claims hold' if result['overall'] else 'CLAIMS FAILED'}")
-        _write_output("\n".join(lines) + "\n", args.out, out)
+    lines = []
+    for row in result["claims"]:
+        detail = "" if row["pass"] else f" (expected {row['expected']!r}, got {row['actual']!r})"
+        lines.append(f"{'PASS' if row['pass'] else 'FAIL'} {result['id']}: {row['name']}{detail}")
+    lines.append(f"{result['id']}: {'all claims hold' if result['overall'] else 'CLAIMS FAILED'}")
+    _write_format(args, out, result, lines)
     return EXIT_OK if result["overall"] else EXIT_CLAIM_FAILED
 
 
@@ -696,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full canonical JSON report")
     common(p, ("json",))
     p.add_argument("--kmax", type=_gap_bound_arg, help="largest gap to try for the least index")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_check, cap=None)
 
     p = sub.add_parser("reproduce", help="re-run a packaged experiment")
     common(p, ("human", "json"))

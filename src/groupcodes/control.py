@@ -394,21 +394,15 @@ class Analysis:
             claims.append(EqualityClaim(coords, basis, basis, k=d))
         return Verdict(UNIFORMLY_CONTROLLABLE, True, Certificate("window_equality", tuple(claims)))
 
-    def gap(self) -> int | None:
-        """Least gap that splices at every cut, ``max(0, max_n d(n) - n + 1)``; None if some ``d(n)`` is."""
-        defects = self.segment_defects
-        return None if None in defects else max([0] + [d - n + 1 for n, d in enumerate(defects, start=1)])
-
     def k_controllable(self, k: int) -> Verdict:
         if k < 0:
             raise ValueError("gap must be non-negative")
         defects = self.segment_defects
         claims = []
         for n, lower in zip(range(self.w + self.l + 1), self._futures(k)):
-            past, future = tuple(range(n)), tuple(range(n + k, max(self.w, n + k) + self.l))
             upper = self._segment(n)
             basis = tuple(r + (0,) * len(lower) for r in upper) + tuple((0,) * len(upper) + r for r in lower)
-            coords = past + future
+            coords = tuple(chain(*_splice_coords(self.w, self.l, n, k)))
             if n and (defects[n - 1] is None or defects[n - 1] > n + k - 1):
                 x = _separating_element(basis, self._project(None, coords))
                 context = "past/future pair with no spliced element at this cut"
@@ -417,8 +411,12 @@ class Analysis:
         return Verdict(K_CONTROLLABLE, True, Certificate("splice_equality", tuple(claims)), k=k)
 
     def least_gap(self, k_max: int | None = None) -> int | None:
-        """Least gap that splices at every cut, or None past the bound (default ``W + L``; none is tried below 0)."""
-        gap = self.gap()
+        """Least gap that splices at every cut, ``max(0, max_n d(n) - n + 1)``; None if some ``d(n)`` is.
+
+        Also None past the bound, ``W + L`` by default, which no gap exceeds as ``d(n) < max(W, 1)``.
+        """
+        defects = self.segment_defects
+        gap = None if None in defects else max([0] + [d - n + 1 for n, d in enumerate(defects, start=1)])
         return gap if gap is not None and gap <= (self.w + self.l if k_max is None else k_max) else None
 
     def strongly_controllable(self, k_max: int | None = None) -> Verdict:
@@ -434,10 +432,14 @@ class Analysis:
         return Verdict(STRONGLY_CONTROLLABLE, idx is not None, v.evidence, k=idx)
 
 
+def _splice_coords(w: int, l: int, n: int, k: int) -> tuple[range, range]:
+    """The past ``[0, n)`` and future ``[n + k, max(W, n + k) + L)`` coordinates of cut ``n`` with gap ``k``."""
+    return range(n), range(n + k, max(w, n + k) + l)
+
+
 def _splice_spans(h: ProductSubgroup, n: int, k: int) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
     """Span of joint past/future patterns versus the product of the images."""
-    w, l = effective_window(h)
-    coords = tuple(range(n)) + tuple(range(n + k, max(w, n + k) + l))
+    coords = tuple(chain(*_splice_coords(*effective_window(h), n, k)))
     ambient = ambient_group(h.schema, coords)
     restricted = [restrict(g, coords, ambient) for g in h.gens]
     a_width = sum(h.schema.group_at(i).n for i in range(n))
@@ -534,10 +536,10 @@ def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
         return False
     kind, variant = _EVIDENCE[v.property]
     top = sum(effective_window(h))
-    ev = v.evidence
+    ev, inner = v.evidence, {}
     if isinstance(ev, Witness):
         n, k = (ev.n if variant == "splice" else None), (None if variant == "directsum" else ev.k)
-        spans = _spans(h, ev.j, n, k)
+        spans = _spans(h, ev.j, n, k, inner)
         return (
             not v.holds
             and ev.variant == variant
@@ -557,30 +559,40 @@ def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
     else:
         segments = [(tuple(range(n)), None, variant == "window") for n in range(1, top + 1)]
         full = [(c.j, c.n, c.k is not None) for c in ev.claims] == segments
-    return full and all(_claim_holds(h, c) for c in ev.claims)
+    return full and all(_claim_holds(h, c, inner) for c in ev.claims)
 
 
-def _claim_holds(h: ProductSubgroup, c: EqualityClaim) -> bool:
-    spans = _spans(h, c.j, c.n, c.k)
+def _claim_holds(h: ProductSubgroup, c: EqualityClaim, inner: dict[int | None, ProductSubgroup]) -> bool:
+    spans = _spans(h, c.j, c.n, c.k, inner)
     return spans is not None and c.lhs_basis == c.rhs_basis == _basis_rows(spans[0]) == _basis_rows(spans[1])
 
 
-def _spans(h: ProductSubgroup, j: tuple[int, ...], n: int | None, k: int | None) -> tuple[Subgroup, Subgroup] | None:
+def _spans(
+    h: ProductSubgroup, j: tuple[int, ...], n: int | None, k: int | None, inner: dict[int | None, ProductSubgroup]
+) -> tuple[Subgroup, Subgroup] | None:
     """The outer and inner span that a claim at ``(j, n, k)`` equates and a witness separates.
 
     With ``n`` set, the product of the past and future images and the joint
     span at cut ``n`` with gap ``k``, if ``j`` lists their coordinates;
     otherwise the projections onto ``j`` of the subgroup and of the part
     supported on ``[0, k]``, or of the finite-support part when ``k`` is
-    None.  None for a negative or non-integer index.
+    None or ``k >= W - 1``: a part supported inside ``[0, k]`` with
+    ``k >= W`` vanishes on a whole block past ``W``.  ``inner`` memoises
+    those parts by the index read.  None for a negative or non-integer
+    index, or for a ``j`` of the wrong length.
     """
     if (n is not None and k is None) or not all(isinstance(x, int) and x >= 0 for x in (*j, n, k) if x is not None):
         return None
+    w, l = effective_window(h)
     if n is not None:
+        if len(j) != sum(map(len, _splice_coords(w, l, n, k))):
+            return None
         joint, product, coords = _splice_spans(h, n, k)
         return (product, joint) if coords == j else None
-    inner = intersect_directsum(h) if k is None else intersect_sum_window(h, range(k + 1))
-    return project(h, j), project(inner, j)
+    key = None if k is None or k >= w - 1 else k
+    if key not in inner:
+        inner[key] = intersect_directsum(h) if key is None else intersect_sum_window(h, range(key + 1))
+    return project(h, j), project(inner[key], j)
 
 
 class WindowOracle:

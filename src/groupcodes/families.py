@@ -211,7 +211,7 @@ def defect_growth(kind: str, grid: Sequence[int], j: Sequence[int] = (0,)) -> li
     rows = []
     for parameter in grid:
         a = Analysis(build(parameter))
-        rows.append(GrowthRow(parameter, a.uniformity_defect(j), a.controllable().holds, a.gap()))
+        rows.append(GrowthRow(parameter, a.uniformity_defect(j), a.controllable().holds, a.least_gap()))
     return rows
 
 

@@ -181,7 +181,7 @@ def test_constant_generator_has_empty_explicit_window():
     assert a._project(None, (0, 5)).order() == 2
     assert a.segment_defects == (None,)
     assert not a.controllable().holds and verify_verdict(h, a.controllable())
-    assert not a.uniformly_controllable().holds and a.gap() is None
+    assert not a.uniformly_controllable().holds and a.least_gap() is None
 
 
 @pytest.mark.parametrize("prefix", [(), (FiniteAbelianGroup((3,)), FiniteAbelianGroup((2, 4)))])
@@ -191,7 +191,7 @@ def test_empty_generator_set(prefix):
     assert (a.w, a.l) == (len(prefix), 1)
     assert _trivial_window(a) and a.window.order() == 1
     assert a.segment_defects == (0,) * (a.w + a.l)
-    assert a.controllable().holds and a.uniformly_controllable().holds and a.gap() == 0
+    assert a.controllable().holds and a.uniformly_controllable().holds and a.least_gap() == 0
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -205,7 +205,8 @@ def test_engine_agrees_with_enumeration(h):
     defects = a.segment_defects
     for n in range(1, a.w + a.l + 1):
         assert (defects[n - 1] if n <= len(defects) else None) == oracle.defect(range(n))
-    assert a.gap() == oracle.strong_index()
+    # No gap exceeds W + L, so the default bound cuts none off.
+    assert a.least_gap() == a.least_gap(10**9) == oracle.strong_index()
     assert a.controllable().holds == oracle.controllable()
 
 
@@ -371,7 +372,7 @@ def test_holding_k_controllable_runs_at_most_one_echelon(h, monkeypatch):
 
     for module in (intlinalg, finabel, control):
         monkeypatch.setattr(module, "echelon_mod", counted)
-    gap, w, l = Analysis(h).gap(), *effective_window(h)
+    gap, w, l = Analysis(h).least_gap(), *effective_window(h)
     for k in range(gap, w + l + 2):
         a = Analysis(h)
         a.window

@@ -1,6 +1,7 @@
 """Front end: parsing, formats, exit codes, reports, reproductions."""
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import groupcodes
-from groupcodes import families
+from groupcodes import cli, families
 from groupcodes.cli import (
     EXIT_CAP,
     EXIT_INCONSISTENT,
@@ -300,6 +301,47 @@ class TestCommands:
         assert code == EXIT_OK
         assert text == ""
         parse_report(dst.read_text())
+
+    @pytest.mark.parametrize("command", [["report"], ["check", "--format", "json"]], ids=["report", "check"])
+    def test_report_streams_in_several_writes(self, command, tmp_path, monkeypatch):
+        # The report of z2_power_example(4) has about 11000 JSON pieces, several write blocks.
+        h = families.z2_power_example(4)
+        expected = render_json(build_report(h))
+        src, dst = tmp_path / "h.txt", tmp_path / "r.json"
+        src.write_text(render_subgroup(h))
+        writes = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        assert main([*command, "--input", str(src)], Stdout()) == EXIT_OK
+        assert len(writes) > 1 and "".join(writes) == expected
+        writes.clear()
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+            fh.write = lambda text: (writes.append(text), write(text))[1]
+            return fh
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        assert main([*command, "--input", str(src), "--out", str(dst)], Stdout()) == EXIT_OK
+        assert len(writes) > 1 and "".join(writes) == dst.read_text() == expected
+
+    def test_only_the_chunk_writer_writes(self):
+        # Every command streams through _write_chunks; none renders its whole output as one string.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+        def callees(node):
+            return {ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+        writers = [f.name for f in functions if any(c.split(".")[-1] in ("write", "writelines") for c in callees(f))]
+        assert writers == ["_write_chunks"]
+        rendering = [f.name for f in functions if f.name.startswith("cmd_") and callees(f) & {"render_json", "json.dumps"}]
+        assert rendering == []
 
 
 class TestExitCodes:

@@ -411,6 +411,25 @@ class TestForgedEvidence:
         for k in (None, w + l - 1, -1):
             assert not verify_verdict(DENSE, replace(v, evidence=replace(v.evidence, k=k)))
 
+    def test_indices_past_the_window_build_nothing_of_their_size(self, monkeypatch):
+        # A part supported inside [0, k], k >= W, is the finite-support part; a splice witness
+        # whose coordinates cannot be those of its cut is refused before they are listed.
+        def bounded(real, size):
+            def call(h, *args):
+                assert size(*args) <= 100, "a window of the forged index was built"
+                return real(h, *args)
+
+            return call
+
+        monkeypatch.setattr(control, "intersect_sum_window", bounded(control.intersect_sum_window, len))
+        monkeypatch.setattr(control, "_splice_spans", bounded(control._splice_spans, lambda n, k: n))
+        window = is_uniformly_controllable(DENSE)
+        for k in (10**6, 10**12):
+            assert verify_verdict(DENSE, replace(window, evidence=replace(window.evidence, k=k)))
+        splice = is_k_controllable(BLOCK, 0)
+        assert verify_verdict(BLOCK, splice)
+        assert not verify_verdict(BLOCK, replace(splice, evidence=replace(splice.evidence, n=10**12)))
+
     def test_truncated_claim_set(self):
         for v in (is_controllable(BLOCK), is_uniformly_controllable(BLOCK), is_k_controllable(BLOCK, 2)):
             claims = v.evidence.claims
