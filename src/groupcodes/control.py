@@ -83,8 +83,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain, count
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, chain, compress, count
+from operator import add, itemgetter, mod, not_
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalInconsistency
 from .finabel import (
@@ -605,8 +606,17 @@ class WindowOracle:
     ``s >= W`` on determine the values from ``W`` on, and are determined by
     them, so "the values from ``n`` on" is the slice from coordinate
     ``min(n, W)``: a future, a reconnection point or a support bound past
-    ``W`` adds nothing.  Every property is a comparison of sets of slices;
-    no lattice computation is involved.
+    ``W`` adds nothing.
+
+    Every property is a comparison of sets; no lattice computation is
+    involved.  A pattern set holds the values of some elements on some
+    columns.  A splice set holds one integer per element in place of its
+    pair of slices, the past before a cut and the future from a start on.
+    Equal slices are interned into one class, numbered by the index of its
+    first element, and the pair is stored as ``past * |H| + future``.  These
+    classes are the past and future state spaces of a trellis (Forney and
+    Trott, IEEE Trans. IT 39(5), 1993).  Classes, pattern sets and splice
+    answers are memoised on the instance.
     """
 
     def __init__(self, h: ProductSubgroup, cap: int = ORACLE_CAP):
@@ -618,18 +628,49 @@ class WindowOracle:
             raise CapExceeded(1, cap)
         elems = {(0,) * len(orders)}
         for g in h.gens:
+            # The multiples of g up to the first one already enumerated shift
+            # the enumerated subgroup onto its other cosets, so each new
+            # element is made once.
             step = tuple(c for i in range(w + l) for c in g.value_at(i).coords)
-            new = elems
-            while new:
-                new = {tuple((a + b) % o for a, b, o in zip(x, step, orders)) for x in new} - elems
-                elems |= new
-                if len(elems) > cap:
+            shifts, shift = [], step
+            while shift not in elems:
+                shifts.append(shift)
+                if len(elems) * (len(shifts) + 1) > cap:
                     raise CapExceeded(cap + 1, cap)
-        self.elements = sorted(elems)
+                shift = tuple(map(mod, map(add, shift, step), orders))
+            elems |= {tuple(map(mod, map(add, x, s), orders)) for s in shifts for x in elems}
+        self.elements = list(elems)
+        self._memo: dict = {}
+
+    def _memoised(self, key: tuple, make: Callable[[], Any]) -> Any:
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def _from(self, n: int) -> int:
         """Start of the slice that holds the values from coordinate ``n`` on."""
         return self.offsets[min(n, self.w)]
+
+    def _classes(self, cols: slice, scale: int) -> tuple[list[int], int]:
+        """Each element's class of slices ``x[cols]``, times ``scale``, and the number of classes.
+
+        A class is numbered by the index of its first element, so ids are below ``|H|``.
+        """
+
+        def number() -> tuple[list[int], int]:
+            first: dict[tuple[int, ...], int] = {}
+            ids = list(map(first.setdefault, map(itemgetter(cols), self.elements), count(0, scale)))
+            return ids, len(first)
+
+        return self._memoised(("classes", cols.start, cols.stop, scale), number)
+
+    def _pasts(self, cut: int) -> tuple[list[int], int]:
+        """``|H|`` times each element's class of slices before column ``cut``, and the number of classes."""
+        return self._classes(slice(0, cut), len(self.elements))
+
+    def _futures(self, start: int) -> tuple[list[int], int]:
+        """Each element's class of slices from column ``start`` on, and the number of classes."""
+        return self._classes(slice(start, None), 1)
 
     def patterns(self, coords: Sequence[int], within: int | None = None) -> set[tuple[int, ...]]:
         """Values on ``coords`` of every element, or of those supported inside ``[0, within]``."""
@@ -638,11 +679,18 @@ class WindowOracle:
         for i in coords:
             i = i if i < w + l else w + (i - w) % l
             cols.extend(range(self.offsets[i], self.offsets[i + 1]))
-        pool = self.elements
-        if within is not None:
-            start = self._from(within + 1)
-            pool = [x for x in pool if not any(x[start:])]
-        return {tuple(x[c] for c in cols) for x in pool}
+        start = None if within is None else self._from(within + 1)
+
+        def read() -> set[tuple[int, ...]]:
+            pool = self.elements
+            if start is not None:
+                pool = compress(pool, map(not_, map(any, map(itemgetter(slice(start, None)), pool))))
+            # A run of columns is read as one slice; other column lists hold at least two.
+            first = cols[0] if cols else 0
+            run = cols == list(range(first, first + len(cols)))
+            return set(map(itemgetter(slice(first, first + len(cols))) if run else itemgetter(*cols), pool))
+
+        return self._memoised(("patterns", tuple(cols), start), read)
 
     def controllable_at(self, j: Iterable[int]) -> bool:
         coords = sorted(set(j))
@@ -661,20 +709,30 @@ class WindowOracle:
     def defect(self, j: Iterable[int]) -> int | None:
         coords = sorted(set(j))
         target = self.patterns(coords)
-        return next((k for k in range(self.w + self.l + 1) if self.patterns(coords, within=k) == target), None)
+        # From k = W - 1 on, the elements supported inside [0, k] are those that vanish from W on.
+        return next((k for k in range(max(self.w, 1)) if self.patterns(coords, within=k) == target), None)
 
     def uniformly_controllable(self) -> bool:
         return self.defect(range(self.w + self.l)) is not None
 
-    def _splices(self, n: int, m: int) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The pair (values before ``n``, values from ``m`` on) of every element."""
-        cut, start = self.offsets[n], self._from(m)
-        return {(x[:cut], x[start:]) for x in self.elements}
+    def _splices(self, n: int, m: int) -> tuple[set[int], int, int]:
+        """The pair (values before ``n``, values from ``m`` on) of every element, as ``past * |H| + future``.
+
+        Also the number of pasts and of futures.
+        """
+        pasts, past_count = self._pasts(self.offsets[n])
+        futures, future_count = self._futures(self._from(m))
+        return set(map(add, pasts, futures)), past_count, future_count
+
+    def _joins(self, n: int, m: int) -> bool:
+        """Whether every past before ``n`` joins every future from ``m`` on."""
+        key = ("joins", self.offsets[n], self._from(m))
+        return self._memoised(key, lambda: _every_past_joins_every_future(*self._splices(n, m)))
 
     def k_controllable(self, k: int) -> bool:
         if k < 0:
             raise ValueError("gap must be non-negative")
-        return all(_every_past_joins_every_future(self._splices(n, n + k)) for n in range(self.w + self.l + 1))
+        return all(self._joins(n, n + k) for n in range(self.w + self.l + 1))
 
     def strong_index(self, k_max: int | None = None) -> int | None:
         # A future from n + k >= W on is the slice from W, so every gap past W answers as W does.
@@ -687,24 +745,21 @@ class WindowOracle:
     def controllable_splice(self) -> bool:
         """Pair-by-pair splicing with a free reconnection point."""
         for n in range(self.w + self.l + 1):
-            cut = self.offsets[n]
-            joints = [(self._from(m), self._splices(n, m)) for m in self._reconnection_points(n)]
-            for past in {x[:cut] for x in self.elements}:
-                for hy in self.elements:
-                    if not any((past, hy[start:]) in joint for start, joint in joints):
+            pasts, _ = self._pasts(self.offsets[n])
+            joints = [(self._futures(self._from(m))[0], self._splices(n, m)[0]) for m in self._reconnection_points(n)]
+            for past in set(pasts):
+                for y in range(len(self.elements)):
+                    if not any(past + futures[y] in joint for futures, joint in joints):
                         return False
         return True
 
     def uniform_splice(self) -> bool:
         """One reconnection point per cut that serves every pair."""
-        return all(
-            any(_every_past_joins_every_future(self._splices(n, m)) for m in self._reconnection_points(n))
-            for n in range(self.w + self.l + 1)
-        )
+        return all(any(self._joins(n, m) for m in self._reconnection_points(n)) for n in range(self.w + self.l + 1))
 
 
-def _every_past_joins_every_future(joint: set[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
-    return len(joint) == len({p for p, _ in joint}) * len({f for _, f in joint})
+def _every_past_joins_every_future(joint: set[int], pasts: int, futures: int) -> bool:
+    return len(joint) == pasts * futures
 
 
 def translate_from_Z(window_neg: int, h: ProductSubgroup) -> ProductSubgroup:

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ from groupcodes.seqspace import (
     window_subgroup,
 )
 from test_finabel import presentation
+from test_report_digest import corpus, random_subgroups
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -314,6 +316,104 @@ def test_oracle_splices_as_the_definition_on_a_long_horizon(h):
         any((x[:n], y[m:]) in joint(n, m) for m in points[n]) for n in cuts for x in elems for y in elems
     )
     assert oracle.controllable_splice() == pairwise
+
+
+class SliceOracle:
+    """The enumeration oracle on sets of slice tuples, as first written: the reference for ``WindowOracle``.
+
+    Elements are closed under the generators step by step; every query
+    compares sets of value tuples or of pairs of slices.
+    """
+
+    def __init__(self, h, cap):
+        self.w, self.l = w, l = effective_window(h)
+        groups = [h.schema.group_at(i) for i in range(w + l)]
+        orders = [o for g in groups for o in g.orders]
+        self.offsets = list(accumulate((g.n for g in groups), initial=0))
+        elems = {(0,) * len(orders)}
+        for g in h.gens:
+            step = tuple(c for i in range(w + l) for c in g.value_at(i).coords)
+            new = elems
+            while new:
+                new = {tuple((a + b) % o for a, b, o in zip(x, step, orders)) for x in new} - elems
+                elems |= new
+                if len(elems) > cap:
+                    raise CapExceeded(cap + 1, cap)
+        self.elements = sorted(elems)
+
+    def _from(self, n):
+        return self.offsets[min(n, self.w)]
+
+    def patterns(self, coords, within=None):
+        w, l = self.w, self.l
+        cols = []
+        for i in coords:
+            i = i if i < w + l else w + (i - w) % l
+            cols.extend(range(self.offsets[i], self.offsets[i + 1]))
+        pool = self.elements
+        if within is not None:
+            start = self._from(within + 1)
+            pool = [x for x in pool if not any(x[start:])]
+        return {tuple(x[c] for c in cols) for x in pool}
+
+    def controllable_at(self, j):
+        coords = sorted(set(j))
+        return self.patterns(coords) == self.patterns(coords, within=self.w - 1)
+
+    def defect(self, j):
+        coords = sorted(set(j))
+        target = self.patterns(coords)
+        return next((k for k in range(self.w + self.l + 1) if self.patterns(coords, within=k) == target), None)
+
+    def _splices(self, n, m):
+        cut, start = self.offsets[n], self._from(m)
+        return {(x[:cut], x[start:]) for x in self.elements}
+
+    def _joins(self, n, m):
+        joint = self._splices(n, m)
+        return len(joint) == len({p for p, _ in joint}) * len({f for _, f in joint})
+
+    def k_controllable(self, k):
+        return all(self._joins(n, n + k) for n in range(self.w + self.l + 1))
+
+    def strong_index(self, k_max=None):
+        bound = self.w if k_max is None else min(k_max, self.w)
+        return next((k for k in range(bound + 1) if self.k_controllable(k)), None)
+
+    def uniform_splice(self):
+        cuts = range(self.w + self.l + 1)
+        return all(any(self._joins(n, m) for m in range(n, max(n, self.w) + 1)) for n in cuts)
+
+
+def test_oracle_answers_as_the_slice_reference():
+    checked = 0
+    for h in random_subgroups(7, 300) + corpus():
+        try:
+            ref = SliceOracle(h, cap=3000)
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                WindowOracle(h, cap=3000)
+            continue
+        oracle = WindowOracle(h, cap=3000)
+        assert sorted(oracle.elements) == ref.elements
+        w, l = ref.w, ref.l
+        # Unsorted, repeated and folded coordinates as well as the segments.
+        for j in [range(n) for n in range(1, w + l + 1)] + [(w,), (0, w + l), (w + l + 3, 1, 1)]:
+            for within in (None, w - 1):
+                assert oracle.patterns(sorted(set(j)), within) == ref.patterns(sorted(set(j)), within)
+            assert oracle.defect(j) == ref.defect(j)
+            assert oracle.controllable_at(j) == ref.controllable_at(j)
+        assert [oracle.k_controllable(k) for k in range(2 * (w + l) + 2)] == [
+            ref.k_controllable(k) for k in range(2 * (w + l) + 2)
+        ]
+        # Every bound from W on answers as W does.
+        assert [oracle.strong_index(k) for k in range(w + 2)] == [ref.strong_index(k) for k in range(w + 2)]
+        assert oracle.strong_index() == ref.strong_index()
+        assert oracle.uniform_splice() == ref.uniform_splice()
+        assert oracle.weakly_controllable() == oracle.controllable() == ref.controllable_at(range(w + l))
+        assert oracle.uniformly_controllable() == (ref.defect(range(w + l)) is not None)
+        checked += 1
+    assert checked >= 300
 
 
 @PROPERTY

@@ -6,9 +6,12 @@ The file is parsed, not imported, so this test leaves ``bench/`` as it is.
 """
 
 import ast
+import functools
 import importlib
+import inspect
 from pathlib import Path
 
+from groupcodes import control
 from groupcodes.control import WindowOracle
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -37,3 +40,23 @@ def test_traced_functions_exist():
 def test_traced_oracle_queries_exist():
     missing = [q for q in tracer_constant("ORACLE_QUERIES") if q not in vars(WindowOracle)]
     assert missing == []
+
+
+def test_oracle_entry_points_stay_plain_and_memos_stay_on_the_instance():
+    # The tracer wraps these entries of vars(WindowOracle) in place; a
+    # cached_property or cache wrapper there would break traced runs.
+    members = vars(WindowOracle)
+    entries = ("__init__",) + tracer_constant("ORACLE_QUERIES")
+    assert [name for name in entries if not inspect.isfunction(members[name])] == []
+    # No cache decorator on any member and no container shared by every instance,
+    # at class or at module level.
+    cached = [
+        name
+        for name, value in members.items()
+        if hasattr(getattr(value, "__func__", value), "cache_info") or isinstance(value, functools.cached_property)
+    ]
+    assert cached == []
+    assert [name for name, value in members.items() if isinstance(value, (dict, list, set))] == []
+    tree = ast.parse(inspect.getsource(WindowOracle))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in sorted(read) if isinstance(getattr(control, name, None), (dict, list, set))] == []

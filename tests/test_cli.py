@@ -219,6 +219,19 @@ class TestCommands:
         assert capsys.readouterr().err == "error: enumeration needs 1 elements, cap is 0\n"
         assert run(["check", "--input", str(src), "--cap", "1"])[0] == EXIT_OK
 
+    def test_check_cross_check_disagreement_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        class Flipped(cli.WindowOracle):
+            def controllable(self):
+                return not super().controllable()
+
+        monkeypatch.setattr(cli, "WindowOracle", Flipped)
+        src = tmp_path / "h.txt"
+        src.write_text(BLOCKS)
+        code, text = run(["check", "--input", str(src), "--cap", "100"])
+        assert (code, text) == (EXIT_INCONSISTENT, "")
+        err = "internal error: weakly_controllable: engine says True, enumeration says the opposite\n"
+        assert capsys.readouterr().err == err
+
     def test_defect_human_and_csv(self, tmp_path):
         src = tmp_path / "h.txt"
         src.write_text(BLOCKS)
@@ -458,6 +471,8 @@ def subgroup_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# A 200 000-value generator line whose values are all zero: a long parse, a one-column window.
+HUGE_LINE = "tail: 2\ngen: " + " ".join(["0"] * 200_000) + "\n"
 DEPTH_ENDS = st.sampled_from(["", "1", "2", "²", "-1", "١", "x"])
 COMMANDS = (["check"], ["check", "--cap", "30"], ["report"], ["kcontrol"], ["defect"], ["decompose"])
 
@@ -490,6 +505,27 @@ class TestMalformedInputFuzz:
             assert code in (EXIT_OK, EXIT_PARSE, EXIT_CAP)
             if code != EXIT_OK:
                 assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv, text, expected",
+        [
+            (["check", "--input", "{src}"], "", EXIT_PARSE),
+            (["report", "--input", "{src}"], "", EXIT_PARSE),
+            (["check", "--input", "{src}"], HUGE_LINE, EXIT_OK),
+            (["check", "--cap", "0", "--input", "{src}"], HUGE_LINE, EXIT_CAP),
+            (["reproduce", "--id", "nope"], "", EXIT_PARSE),
+        ],
+        ids=["empty-check", "empty-report", "huge-line", "huge-line-cap-0", "unknown-id"],
+    )
+    def test_file_faults(self, argv, text, expected, tmp_path):
+        src = tmp_path / "h.txt"
+        src.write_text(text)
+        code, err = run_quiet([a.replace("{src}", str(src)) for a in argv])
+        assert code == expected
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("command, option", _long_options())
     def test_option_given_a_bare_double_dash(self, command, option):
