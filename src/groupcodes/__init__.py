@@ -79,13 +79,11 @@ from .seqspace import (
     intersect_directsum,
     intersect_sum_window,
     project,
-    restrict,
     subgroup_order,
     subgroups_equal,
     support,
     uniform_schema,
     window_subgroup,
-    zero_element,
 )
 
 
@@ -166,13 +164,11 @@ __all__ = [
     "intersect_directsum",
     "intersect_sum_window",
     "project",
-    "restrict",
     "subgroup_order",
     "subgroups_equal",
     "support",
     "uniform_schema",
     "window_subgroup",
-    "zero_element",
     "DecompositionReport",
     "decompose",
     "TorusSeq",

@@ -28,8 +28,10 @@ supported inside ``[0, k]``, for ``k < W``.  An element supported inside
 ``[0, k]`` with ``k >= W`` vanishes on a whole block past ``W``, hence on
 ``[W, infinity)``, so ``k`` is clamped to ``W - 1`` and that part is the
 finite-support part (trivial when ``W = 0``).  A projection slices columns
-of the generator rows or of a part's rows; a coordinate ``i >= W + L`` reads
-the columns of ``W + (i - W) % L``, the block coordinate it repeats.
+of the generator rows or of a part's rows.  The layout of ``[0, W + L)``,
+which columns each coordinate occupies and how a coordinate ``i >= W + L``
+folds onto the block coordinate ``W + (i - W) % L``, is read from
+``seqspace.WindowCodec``; no code here works it out again.
 
 Segment data are read in natural column order: by the suffix property the
 projection onto ``[0, n)`` is the upper-left block of the window's canonical
@@ -83,7 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain, compress, count
+from itertools import chain, compress, count
 from operator import add, itemgetter, mod, not_
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -101,14 +103,13 @@ from .seqspace import (
     CoordSchema,
     ProductSubgroup,
     SeqElement,
-    ambient_group,
     delta,
     effective_window,
     from_values,
     intersect_directsum,
     intersect_sum_window,
     project,
-    restrict,
+    window_rows,
 )
 
 WEAKLY_CONTROLLABLE = "weakly_controllable"
@@ -200,8 +201,8 @@ def _separating_element(larger: tuple[tuple[int, ...], ...], smaller: Subgroup) 
 class Analysis:
     """Everything the deciders compute for one subgroup, from one echelon form.
 
-    The generators are encoded once on ``[0, W + L)``, the coordinates'
-    columns laid out last coordinate first, and one ``echelon_mod`` gives
+    The generators are encoded once on ``[0, W + L)``, the window codec's
+    rows read backwards (last coordinate first), and one ``echelon_mod`` gives
     the triangular basis of all their representatives.  Window parts and
     projections are column slices of the generator rows or of a tail of
     that basis; they, the window's basis rows, the segment bases and the
@@ -221,13 +222,12 @@ class Analysis:
     """
 
     def __init__(self, h: ProductSubgroup):
-        self.w, self.l = effective_window(h)
-        coords = range(self.w + self.l - 1, -1, -1)
-        groups = [h.schema.group_at(i) for i in coords]
-        self._orders = [o for g in groups for o in g.orders]
-        # Coordinate i occupies the columns [n - _offsets[i + 1], n - _offsets[i]) of n.
-        self._offsets = list(accumulate(reversed([g.n for g in groups]), initial=0))
-        self._gen_rows = [[c for i in coords for c in g.value_at(i).coords] for g in h.gens]
+        self._codec, rows = window_rows(h)
+        self.w, self.l, self._offsets = self._codec.w, self._codec.l, self._codec.offsets
+        # The codec's rows read backwards, so the columns of the last coordinate
+        # come first: coordinate i occupies the columns [n - _offsets[i + 1], n - _offsets[i]) of n.
+        self._orders = self._codec.ambient.orders[::-1]
+        self._gen_rows = [r[::-1] for r in rows]
         flat = tuple(chain.from_iterable(self._gen_rows))
         basis = echelon_mod(IntMatrix(len(self._gen_rows), len(self._orders), flat), self._orders)
         self._basis_rows = [basis.row(i) for i in range(basis.rows)]
@@ -247,25 +247,20 @@ class Analysis:
     def _window_rows(self) -> tuple[tuple[int, ...], ...]:
         return _basis_rows(self.window)
 
-    def _columns(self, coords: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-        """The sorted ``coords`` with ``i >= W + L`` folded onto ``W + (i - W) % L``, and their columns."""
-        if coords and coords[0] < 0:
-            raise IndexError("coordinates are indexed from 0")
-        w, l = self.w, self.l
-        if coords and coords[-1] >= w + l:
-            coords = tuple(i if i < w + l else w + (i - w) % l for i in coords)
-        n, offsets = len(self._orders), self._offsets
-        return coords, [c for i in coords for c in range(n - offsets[i + 1], n - offsets[i])]
+    def _columns(self, coords: Iterable[int]) -> list[int]:
+        """The codec's columns of ``coords``, each coordinate folded onto the window, read backwards."""
+        n = len(self._orders)
+        return [n - 1 - c for c in self._codec.columns(coords)]
 
     def _project(self, k: int | None, coords: tuple[int, ...]) -> Subgroup:
         """Projection onto the sorted ``coords`` of the subgroup (``k`` None) or of ``part(k)``.
 
-        The memo is keyed on the folded coordinates.
+        The memo is keyed on the columns read, so folded coordinates share it.
         """
         if k is not None:
             k = min(k, self.w - 1)
-        coords, cols = self._columns(coords)
-        key = (k, coords)
+        cols = self._columns(coords)
+        key = (k, tuple(cols))
         if key not in self._projections:
             n = len(self._orders)
             rows = self._gen_rows if k is None else self._basis_rows[n - self._offsets[k + 1] :]
@@ -343,7 +338,7 @@ class Analysis:
         ``min(k + 1, W)`` is ``part(k)``'s, the last the subgroup's.  A
         column that folding repeats is read once; it adds no image elements.
         """
-        cols = list(dict.fromkeys(self._columns(coords)[1]))
+        cols = list(dict.fromkeys(self._columns(coords)))
         n, offsets, orders = len(self._orders), self._offsets, [self._orders[c] for c in cols]
         basis = [[0] * k + [o] + [0] * (len(cols) - k - 1) for k, o in enumerate(orders)]
         pivots = [orders]
@@ -440,16 +435,17 @@ def _splice_coords(w: int, l: int, n: int, k: int) -> tuple[range, range]:
 
 def _splice_spans(h: ProductSubgroup, n: int, k: int) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
     """Span of joint past/future patterns versus the product of the images."""
-    coords = tuple(chain(*_splice_coords(*effective_window(h), n, k)))
-    ambient = ambient_group(h.schema, coords)
-    restricted = [restrict(g, coords, ambient) for g in h.gens]
-    a_width = sum(h.schema.group_at(i).n for i in range(n))
+    codec, rows = window_rows(h)
+    past, future = _splice_coords(codec.w, codec.l, n, k)
+    a_width, cols = len(codec.columns(past)), codec.columns(chain(past, future))
+    ambient = FiniteAbelianGroup(tuple(codec.ambient.orders[c] for c in cols))
+    joint = [ambient.element([r[c] for c in cols]) for r in rows]
     b_zero, a_zero = (0,) * (ambient.n - a_width), (0,) * a_width
     split_gens = []
-    for x in restricted:
+    for x in joint:
         split_gens.append(ambient.element(x.coords[:a_width] + b_zero))
         split_gens.append(ambient.element(a_zero + x.coords[a_width:]))
-    return span(ambient, restricted), span(ambient, split_gens), coords
+    return span(ambient, joint), span(ambient, split_gens), (*past, *future)
 
 
 def controllable_at(h: ProductSubgroup, j: Iterable[int]) -> Verdict:
@@ -601,12 +597,12 @@ class WindowOracle:
 
     Every element is determined by its values on the window ``[0, W + L)``,
     and past ``W`` it repeats its block, so it is stored as one flat residue
-    tuple over the window; coordinate ``i >= W + L`` reads ``W + (i - W) % L``,
-    as ``SeqElement.value_at`` does.  The values from any coordinate
-    ``s >= W`` on determine the values from ``W`` on, and are determined by
-    them, so "the values from ``n`` on" is the slice from coordinate
-    ``min(n, W)``: a future, a reconnection point or a support bound past
-    ``W`` adds nothing.
+    tuple in the layout of ``seqspace.WindowCodec``, whose ``columns`` fold
+    a coordinate ``i >= W + L`` onto ``W + (i - W) % L``.  The values from
+    any coordinate ``s >= W`` on determine the values from ``W`` on, and are
+    determined by them, so "the values from ``n`` on" is the slice from
+    coordinate ``min(n, W)``: a future, a reconnection point or a support
+    bound past ``W`` adds nothing.
 
     Every property is a comparison of sets; no lattice computation is
     involved.  A pattern set holds the values of some elements on some
@@ -620,18 +616,16 @@ class WindowOracle:
     """
 
     def __init__(self, h: ProductSubgroup, cap: int = ORACLE_CAP):
-        self.w, self.l = w, l = effective_window(h)
-        groups = [h.schema.group_at(i) for i in range(w + l)]
-        orders = [o for g in groups for o in g.orders]
-        self.offsets = list(accumulate((g.n for g in groups), initial=0))
+        self._codec, steps = window_rows(h)
+        self.w, self.l, self.offsets = self._codec.w, self._codec.l, self._codec.offsets
+        orders = self._codec.ambient.orders
         if cap < 1:
             raise CapExceeded(1, cap)
         elems = {(0,) * len(orders)}
-        for g in h.gens:
-            # The multiples of g up to the first one already enumerated shift
-            # the enumerated subgroup onto its other cosets, so each new
-            # element is made once.
-            step = tuple(c for i in range(w + l) for c in g.value_at(i).coords)
+        for step in steps:
+            # The multiples of a generator up to the first one already
+            # enumerated shift the enumerated subgroup onto its other cosets,
+            # so each new element is made once.
             shifts, shift = [], step
             while shift not in elems:
                 shifts.append(shift)
@@ -674,11 +668,7 @@ class WindowOracle:
 
     def patterns(self, coords: Sequence[int], within: int | None = None) -> set[tuple[int, ...]]:
         """Values on ``coords`` of every element, or of those supported inside ``[0, within]``."""
-        w, l = self.w, self.l
-        cols = []
-        for i in coords:
-            i = i if i < w + l else w + (i - w) % l
-            cols.extend(range(self.offsets[i], self.offsets[i + 1]))
+        cols = self._codec.columns(coords)
         start = None if within is None else self._from(within + 1)
 
         def read() -> set[tuple[int, ...]]:

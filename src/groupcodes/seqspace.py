@@ -11,13 +11,18 @@ A ProductSubgroup is the subgroup generated by finitely many such
 elements.  Every decision about it reduces to a finite abelian instance
 over the coordinates of an effective window ``[0, W)`` plus one block of
 ``L`` tail coordinates, since all generators are determined there.
+``WindowCodec`` owns that instance's layout: the columns each coordinate
+of ``[0, W + L)`` occupies in one flat residue tuple, and the fold of a
+coordinate ``i >= W + L`` onto ``W + (i - W) % L``.  Every decider reads
+the layout from it, through ``window_rows``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate
 from math import lcm
+from operator import mod
 from typing import Iterable, Sequence
 
 from .errors import SchemaMismatch
@@ -135,11 +140,6 @@ def _canonicalize(
     return prefix, period
 
 
-def zero_element(schema: CoordSchema) -> SeqElement:
-    prefix = tuple(schema.group_at(i).zero() for i in range(schema.w0))
-    return SeqElement(schema, prefix, (schema.tail.zero(),))
-
-
 def from_values(
     schema: CoordSchema, values: Sequence[GroupElement], period: Sequence[GroupElement] | None = None
 ) -> SeqElement:
@@ -199,35 +199,14 @@ def ambient_group(schema: CoordSchema, coords: Sequence[int]) -> FiniteAbelianGr
     return direct_sum(schema.group_at(i) for i in coords)
 
 
-def restrict(e: SeqElement, coords: Sequence[int], ambient: FiniteAbelianGroup | None = None) -> GroupElement:
-    """Restriction of an element to the listed coordinates, flattened."""
-    if ambient is None:
-        ambient = ambient_group(e.schema, coords)
-    flat: tuple[int, ...] = ()
-    for i in coords:
-        flat = flat + e.value_at(i).coords
-    return ambient.element(flat)
-
-
 def project(h: ProductSubgroup, j: Iterable[int]) -> Subgroup:
-    """Projection of the subgroup onto the coordinates in ``j`` (sorted)."""
+    """Projection of the subgroup onto the coordinates in ``j`` (sorted).
+
+    Only the coordinates read are encoded, not the whole window.
+    """
     coords = sorted(set(j))
-    if any(i < 0 for i in coords):
-        raise IndexError("coordinates are indexed from 0")
     ambient = ambient_group(h.schema, coords)
-    return span(ambient, [restrict(g, coords, ambient) for g in h.gens])
-
-
-def _combination_gens(h: ProductSubgroup, coefficients: IntMatrix) -> tuple[SeqElement, ...]:
-    out = []
-    for i in range(coefficients.rows):
-        acc = zero_element(h.schema)
-        for g, c in zip(h.gens, coefficients.row(i)):
-            if c:
-                acc = acc + g.scale(c)
-        if not acc.is_zero():
-            out.append(acc)
-    return tuple(out)
+    return span(ambient, [ambient.element([c for i in coords for c in g.value_at(i).coords]) for g in h.gens])
 
 
 def intersect_directsum(h: ProductSubgroup) -> ProductSubgroup:
@@ -240,73 +219,96 @@ def intersect_directsum(h: ProductSubgroup) -> ProductSubgroup:
 
 
 def intersect_sum_window(h: ProductSubgroup, window: Iterable[int]) -> ProductSubgroup:
-    """Elements of the subgroup supported inside the finite coordinate set."""
+    """Elements of the subgroup supported inside the finite coordinate set.
+
+    Such an element vanishes on the block ``[W, W + L)``, hence from ``W``
+    on, so it is a combination of the generators' window rows that vanishes
+    on the columns of ``([0, W) - window) + [W, W + L)``.
+    """
     keep = set(window)
     if any(i < 0 for i in keep):
         raise IndexError("coordinates are indexed from 0")
-    w, l = effective_window(h)
-    w2 = max(w, max(keep) + 1 if keep else 0)
     if not h.gens:
         return ProductSubgroup(h.schema, ())
-    rows: list[list[int]] = []
-    moduli: list[int] = []
-    for i in range(w2):
-        if i in keep:
-            continue
-        orders = h.schema.group_at(i).orders
-        for slot in range(len(orders)):
-            rows.append([g.value_at(i).coords[slot] for g in h.gens])
-        moduli.extend(orders)
-    tail_orders = h.schema.tail.orders
-    for t in range(l):
-        for slot in range(len(tail_orders)):
-            rows.append([g.value_at(w2 + t).coords[slot] for g in h.gens])
-        moduli.extend(tail_orders)
-    coeffs = kernel_mod(IntMatrix(len(rows), len(h.gens), tuple(chain.from_iterable(rows))), moduli)
-    return ProductSubgroup(h.schema, _combination_gens(h, coeffs))
+    codec, rows = window_rows(h)
+    w, l, orders = codec.w, codec.l, codec.ambient.orders
+    cols = codec.columns([i for i in range(w) if i not in keep] + list(range(w, w + l)))
+    matrix = IntMatrix(len(cols), len(rows), tuple(r[c] for c in cols for r in rows))
+    coeffs = kernel_mod(matrix, [orders[c] for c in cols])
+    gens = []
+    for i in range(coeffs.rows):
+        x = [0] * len(orders)
+        for a, r in zip(coeffs.row(i), rows):
+            if a:
+                x = [u + a * v for u, v in zip(x, r)]
+        if any(map(mod, x, orders)):
+            gens.append(codec.decode(codec.ambient.element(x)))
+    return ProductSubgroup(h.schema, tuple(gens))
 
 
 @dataclass(frozen=True)
 class WindowCodec:
-    """Faithful encoding of window-bounded elements into one finite group.
+    """The flat residue layout of a window, and the fold onto it.
 
     Elements with prefix length at most ``w`` and block length dividing
     ``l`` are determined by their values on ``[0, w + l)``; the codec
     flattens those values into a single finite abelian group and back.
+    Coordinate ``i`` occupies the columns ``[offsets[i], offsets[i + 1])``,
+    and a coordinate ``i >= w + l`` reads those of ``w + (i - w) % l``, the
+    block coordinate it repeats.  This is the one place that knows the
+    layout; every decider reads it from here.
     """
 
     schema: CoordSchema
     w: int
     l: int
     ambient: FiniteAbelianGroup
+    offsets: tuple[int, ...]
 
     @classmethod
     def for_window(cls, schema: CoordSchema, w: int, l: int) -> WindowCodec:
-        coords = list(range(w + l))
-        return cls(schema, w, l, ambient_group(schema, coords))
+        groups = [schema.group_at(i) for i in range(w + l)]
+        return cls(schema, w, l, direct_sum(groups), tuple(accumulate((g.n for g in groups), initial=0)))
 
-    def encode(self, e: SeqElement) -> GroupElement:
+    def columns(self, coords: Iterable[int]) -> list[int]:
+        """The columns of the listed coordinates, in their order, each coordinate folded onto the window."""
+        w, l, offsets = self.w, self.l, self.offsets
+        cols: list[int] = []
+        for i in coords:
+            if i < 0:
+                raise IndexError("coordinates are indexed from 0")
+            if i >= w + l:
+                i = w + (i - w) % l
+            cols.extend(range(offsets[i], offsets[i + 1]))
+        return cols
+
+    def residues(self, e: SeqElement) -> tuple[int, ...]:
+        """The element's values on ``[0, w + l)``, flattened in this layout."""
         if e.prefix_len > self.w or self.l % e.period_len:
             raise SchemaMismatch("element is not bounded by this window")
-        return restrict(e, range(self.w + self.l), self.ambient)
+        return tuple([c for i in range(self.w + self.l) for c in e.value_at(i).coords])
+
+    def encode(self, e: SeqElement) -> GroupElement:
+        return self.ambient.element(self.residues(e))
 
     def decode(self, x: GroupElement) -> SeqElement:
         if x.parent != self.ambient:
             raise SchemaMismatch("element outside the window ambient group")
-        vals = []
-        pos = 0
-        for i in range(self.w + self.l):
-            g = self.schema.group_at(i)
-            vals.append(g.element(x.coords[pos : pos + g.n]))
-            pos += g.n
+        offsets = self.offsets
+        vals = [self.schema.group_at(i).element(x.coords[offsets[i] : offsets[i + 1]]) for i in range(self.w + self.l)]
         return SeqElement(self.schema, tuple(vals[: self.w]), tuple(vals[self.w :]))
+
+
+def window_rows(h: ProductSubgroup) -> tuple[WindowCodec, list[tuple[int, ...]]]:
+    """The codec of the effective window and each generator's residues on it, encoded once."""
+    codec = WindowCodec.for_window(h.schema, *effective_window(h))
+    return codec, [codec.residues(g) for g in h.gens]
 
 
 def window_subgroup(h: ProductSubgroup) -> tuple[Subgroup, WindowCodec]:
     """The subgroup as a finite abelian instance over its effective window."""
-    w, l = effective_window(h)
-    codec = WindowCodec.for_window(h.schema, w, l)
-    return span(codec.ambient, [codec.encode(g) for g in h.gens]), codec
+    codec, rows = window_rows(h)
+    return span(codec.ambient, map(codec.ambient.element, rows)), codec
 
 
 def enumerate_elements(h: ProductSubgroup, cap: int = DEFAULT_ENUM_CAP) -> list[SeqElement]:
@@ -339,17 +341,16 @@ __all__ = [
     "ProductSubgroup",
     "WindowCodec",
     "uniform_schema",
-    "zero_element",
     "from_values",
     "delta",
     "constant",
     "support",
     "effective_window",
     "ambient_group",
-    "restrict",
     "project",
     "intersect_directsum",
     "intersect_sum_window",
+    "window_rows",
     "window_subgroup",
     "enumerate_elements",
     "subgroup_order",

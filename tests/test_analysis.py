@@ -230,6 +230,16 @@ def test_lower_rungs_are_one_fact(h):
     assert oracle.controllable() == oracle.uniformly_controllable() == finite_support
 
 
+def test_window_layout_is_read_from_the_codec():
+    # Which columns a coordinate occupies, and how a coordinate past the window
+    # folds, are worked out only by seqspace.WindowCodec.
+    layout = {"value_at", "group_at", "accumulate", "restrict"}
+    for reader in (Analysis, WindowOracle, _splice_spans):
+        nodes = [n for n in ast.walk(ast.parse(inspect.getsource(reader))) if isinstance(n, (ast.Name, ast.Attribute))]
+        used = {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+        assert sorted(used & layout) == [], reader.__name__
+
+
 def test_verdicts_read_the_defect_scan_not_the_subgroup():
     # Every verdict reads the echelon form built in __init__; no method encodes H again.
     (cls,) = ast.parse(inspect.getsource(Analysis)).body
@@ -239,7 +249,7 @@ def test_verdicts_read_the_defect_scan_not_the_subgroup():
         nodes = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
         return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
 
-    encoders = {"h", "_splice_spans", "restrict", "project", "span"}
+    encoders = {"h", "window_rows", "residues", "encode", "_splice_spans", "project", "span"}
     assert sorted(f"{m}.{x}" for m, node in methods.items() if m != "__init__" for x in names(node) & encoders) == []
     assert "h" not in {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)}
     assert "controllable_at" not in names(methods["controllable"])

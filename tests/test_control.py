@@ -44,6 +44,8 @@ from groupcodes.seqspace import (
     delta,
     effective_window,
     from_values,
+    intersect_sum_window,
+    project,
     uniform_schema,
 )
 
@@ -360,6 +362,25 @@ class TestOracleInternals:
         lattice = {"echelon_mod", "Subgroup", "span", "member", "subgroup_equal", "project", "kernel_mod"}
         lattice |= {"head_kernel", "IntMatrix", "Analysis"}
         assert sorted(n for n in names if n in lattice or n.startswith("intersect_")) == []
+
+
+NEGATIVE_QUERIES = {
+    "oracle.patterns": lambda h, j: WindowOracle(h).patterns(j),
+    "oracle.controllable_at": lambda h, j: WindowOracle(h).controllable_at(j),
+    "oracle.defect": lambda h, j: WindowOracle(h).defect(j),
+    "Analysis.controllable_at": lambda h, j: Analysis(h).controllable_at(j),
+    "Analysis.uniformity_defect": lambda h, j: Analysis(h).uniformity_defect(j),
+    "project": project,
+    "intersect_sum_window": intersect_sum_window,
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE_QUERIES)
+@pytest.mark.parametrize("j", [[-1], [-2], [0, -1]], ids=str)
+def test_negative_coordinates_raise(name, j):
+    # A negative coordinate must not fold onto the window's last columns.
+    with pytest.raises(IndexError):
+        NEGATIVE_QUERIES[name](block_family(2, (2, 3)), j)
 
 
 def elem_with(schema, i):

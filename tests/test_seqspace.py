@@ -5,7 +5,7 @@ import random
 import pytest
 
 from groupcodes.errors import SchemaMismatch
-from groupcodes.finabel import FiniteAbelianGroup
+from groupcodes.finabel import FiniteAbelianGroup, enumerate_subgroup
 from groupcodes.seqspace import (
     INFINITE,
     CoordSchema,
@@ -20,12 +20,10 @@ from groupcodes.seqspace import (
     intersect_directsum,
     intersect_sum_window,
     project,
-    restrict,
     subgroup_order,
     subgroups_equal,
     support,
     uniform_schema,
-    zero_element,
 )
 
 Z2 = FiniteAbelianGroup((2,))
@@ -146,7 +144,7 @@ class TestArithmetic:
 
     def test_zero(self):
         s = uniform_schema(Z6)
-        z = zero_element(s)
+        z = from_values(s, [])
         assert z.is_zero()
         e = elem(s, [3], period=[1])
         assert e + z == e
@@ -205,10 +203,12 @@ class TestProjectAndIntersect:
             h = random_subgroup(rng)
             elems = enumerate_elements(h, cap=4000)
             w, l = effective_window(h)
-            for coords in [(0,), (1,), tuple(range(min(w + l, 3)))]:
+            # Past the window, folded, unsorted and repeated coordinates as well as the first ones.
+            for coords in [(0,), (1,), tuple(range(min(w + l, 3))), (w + l + 2,), (0, w + l, 10**6), (2, 0, w, 2)]:
                 p = project(h, coords)
-                expected = {restrict(e, coords, p.parent).coords for e in elems}
-                assert p.order() == len(expected)
+                read = sorted(set(coords))
+                expected = {p.parent.element([c for i in read for c in e.value_at(i).coords]) for e in elems}
+                assert set(enumerate_subgroup(p)) == expected
 
     def test_intersect_directsum_matches_enumeration(self):
         rng = random.Random(45)
@@ -225,14 +225,12 @@ class TestProjectAndIntersect:
         for _ in range(30):
             h = random_subgroup(rng)
             elems = enumerate_elements(h, cap=4000)
-            for k in (0, 2):
-                part = intersect_sum_window(h, range(k + 1))
-                expected = {
-                    e
-                    for e in elems
-                    if support(e) != INFINITE and set(support(e)) <= set(range(k + 1))
-                }
-                assert subgroup_order(part) == len(expected)
+            w, l = effective_window(h)
+            # Intervals, sets with gaps, and sets that reach past W.
+            for keep in [set(range(1)), set(range(3)), set(), {0, 2}, {1, w + 1}, set(range(w + l + 3))]:
+                part = intersect_sum_window(h, keep)
+                expected = {e for e in elems if support(e) != INFINITE and support(e) <= keep}
+                assert set(enumerate_elements(part, cap=4000)) == expected
 
     def test_directsum_equals_window_at_w(self):
         # finite support forces support inside [0, W)
