@@ -60,6 +60,7 @@ from .finabel import (
     full,
     invariant_factors,
     member,
+    row_span,
     span,
     subgroup_equal,
     subgroup_le,
@@ -148,6 +149,7 @@ __all__ = [
     "invariant_factors",
     "member",
     "span",
+    "row_span",
     "subgroup_equal",
     "subgroup_le",
     "trivial",

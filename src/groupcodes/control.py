@@ -14,8 +14,9 @@ enumeration oracle:
 
 Every verdict carries either a certificate (re-derivable equalities of
 canonical bases) or a witness (a concrete projection that lies in one
-image and not the other); ``verify_verdict`` re-checks both kinds from
-scratch.
+image and not the other); ``verify_verdict`` re-checks both kinds apart
+from ``Analysis``: it encodes the generators once per call (``window_rows``)
+and compares column slices of those rows and of window parts' rows.
 
 The deciders are views over one ``Analysis`` per subgroup.  It encodes the
 generators once on ``[0, W + L)``, the columns of the last coordinate first,
@@ -95,7 +96,7 @@ from .finabel import (
     GroupElement,
     Subgroup,
     member,
-    span,
+    row_span,
     subgroup_equal,
 )
 from .intlinalg import IntMatrix, echelon_mod, insert_mod, reduce_above_pivots
@@ -103,12 +104,10 @@ from .seqspace import (
     CoordSchema,
     ProductSubgroup,
     SeqElement,
+    WindowCodec,
     delta,
-    effective_window,
     from_values,
-    intersect_directsum,
-    intersect_sum_window,
-    project,
+    supported_rows,
     window_rows,
 )
 
@@ -264,9 +263,7 @@ class Analysis:
         if key not in self._projections:
             n = len(self._orders)
             rows = self._gen_rows if k is None else self._basis_rows[n - self._offsets[k + 1] :]
-            flat = [r[c] for r in rows for c in cols]
-            ambient = FiniteAbelianGroup(tuple(self._orders[c] for c in cols))
-            self._projections[key] = Subgroup(ambient, IntMatrix(len(rows), len(cols), tuple(flat)))
+            self._projections[key] = row_span([self._orders[c] for c in cols], [[r[c] for c in cols] for r in rows])
         return self._projections[key]
 
     def _segment(self, n: int) -> tuple[tuple[int, ...], ...]:
@@ -433,19 +430,15 @@ def _splice_coords(w: int, l: int, n: int, k: int) -> tuple[range, range]:
     return range(n), range(n + k, max(w, n + k) + l)
 
 
-def _splice_spans(h: ProductSubgroup, n: int, k: int) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
-    """Span of joint past/future patterns versus the product of the images."""
-    codec, rows = window_rows(h)
+def _splice_spans(encoded: tuple[WindowCodec, list], n: int, k: int) -> tuple[Subgroup, Subgroup, tuple[int, ...]]:
+    """Span of joint past/future patterns versus the product of the images, from ``window_rows``' pair."""
+    codec, rows = encoded
     past, future = _splice_coords(codec.w, codec.l, n, k)
-    a_width, cols = len(codec.columns(past)), codec.columns(chain(past, future))
-    ambient = FiniteAbelianGroup(tuple(codec.ambient.orders[c] for c in cols))
-    joint = [ambient.element([r[c] for c in cols]) for r in rows]
-    b_zero, a_zero = (0,) * (ambient.n - a_width), (0,) * a_width
-    split_gens = []
-    for x in joint:
-        split_gens.append(ambient.element(x.coords[:a_width] + b_zero))
-        split_gens.append(ambient.element(a_zero + x.coords[a_width:]))
-    return span(ambient, joint), span(ambient, split_gens), (*past, *future)
+    a, b = codec.columns(past), codec.columns(future)
+    orders = [codec.ambient.orders[c] for c in a + b]
+    pasts, futures = [[r[c] for c in a] for r in rows], [[r[c] for c in b] for r in rows]
+    split = [p + [0] * len(b) for p in pasts] + [[0] * len(a) + f for f in futures]
+    return row_span(orders, list(map(add, pasts, futures))), row_span(orders, split), (*past, *future)
 
 
 def controllable_at(h: ProductSubgroup, j: Iterable[int]) -> Verdict:
@@ -532,11 +525,12 @@ def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
     if v.property not in _EVIDENCE:
         return False
     kind, variant = _EVIDENCE[v.property]
-    top = sum(effective_window(h))
+    encoded = window_rows(h)
+    top = encoded[0].w + encoded[0].l
     ev, inner = v.evidence, {}
     if isinstance(ev, Witness):
         n, k = (ev.n if variant == "splice" else None), (None if variant == "directsum" else ev.k)
-        spans = _spans(h, ev.j, n, k, inner)
+        spans = _spans(encoded, ev.j, n, k, inner)
         return (
             not v.holds
             and ev.variant == variant
@@ -556,16 +550,16 @@ def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
     else:
         segments = [(tuple(range(n)), None, variant == "window") for n in range(1, top + 1)]
         full = [(c.j, c.n, c.k is not None) for c in ev.claims] == segments
-    return full and all(_claim_holds(h, c, inner) for c in ev.claims)
+    return full and all(_claim_holds(encoded, c, inner) for c in ev.claims)
 
 
-def _claim_holds(h: ProductSubgroup, c: EqualityClaim, inner: dict[int | None, ProductSubgroup]) -> bool:
-    spans = _spans(h, c.j, c.n, c.k, inner)
+def _claim_holds(encoded: tuple[WindowCodec, list], c: EqualityClaim, inner: dict[int | None, list]) -> bool:
+    spans = _spans(encoded, c.j, c.n, c.k, inner)
     return spans is not None and c.lhs_basis == c.rhs_basis == _basis_rows(spans[0]) == _basis_rows(spans[1])
 
 
 def _spans(
-    h: ProductSubgroup, j: tuple[int, ...], n: int | None, k: int | None, inner: dict[int | None, ProductSubgroup]
+    encoded: tuple[WindowCodec, list], j: tuple[int, ...], n: int | None, k: int | None, inner: dict[int | None, list]
 ) -> tuple[Subgroup, Subgroup] | None:
     """The outer and inner span that a claim at ``(j, n, k)`` equates and a witness separates.
 
@@ -575,21 +569,21 @@ def _spans(
     supported on ``[0, k]``, or of the finite-support part when ``k`` is
     None or ``k >= W - 1``: a part supported inside ``[0, k]`` with
     ``k >= W`` vanishes on a whole block past ``W``.  ``inner`` memoises
-    those parts by the index read.  None for a negative or non-integer
-    index, or for a ``j`` of the wrong length.
+    those parts' rows by the index read.  None for a negative or
+    non-integer index, or for a ``j`` of the wrong length.
     """
     if (n is not None and k is None) or not all(isinstance(x, int) and x >= 0 for x in (*j, n, k) if x is not None):
         return None
-    w, l = effective_window(h)
+    codec, rows = encoded
     if n is not None:
-        if len(j) != sum(map(len, _splice_coords(w, l, n, k))):
+        if len(j) != sum(map(len, _splice_coords(codec.w, codec.l, n, k))):
             return None
-        joint, product, coords = _splice_spans(h, n, k)
+        joint, product, coords = _splice_spans(encoded, n, k)
         return (product, joint) if coords == j else None
-    key = None if k is None or k >= w - 1 else k
+    key = None if k is None or k >= codec.w - 1 else k
     if key not in inner:
-        inner[key] = intersect_directsum(h) if key is None else intersect_sum_window(h, range(key + 1))
-    return project(h, j), project(inner[key], j)
+        inner[key] = supported_rows(encoded, range(codec.w if key is None else key + 1))
+    return codec.project(rows, j), codec.project(inner[key], j)
 
 
 class WindowOracle:

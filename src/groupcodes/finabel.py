@@ -148,12 +148,19 @@ class Subgroup:
 
 
 def span(parent: FiniteAbelianGroup, gens: Iterable[GroupElement]) -> Subgroup:
-    rows = []
-    for g in gens:
-        if g.parent != parent:
-            raise SchemaMismatch("generator outside the ambient group")
-        rows.append(g.coords)
-    return Subgroup(parent, IntMatrix(len(rows), parent.n, tuple(itertools.chain.from_iterable(rows))))
+    gens = list(gens)
+    if any(g.parent != parent for g in gens):
+        raise SchemaMismatch("generator outside the ambient group")
+    return row_span(parent.orders, [g.coords for g in gens])
+
+
+def row_span(orders: Sequence[int], rows: Sequence[Sequence[int]]) -> Subgroup:
+    """Subgroup of ``Z/orders[0] + ... + Z/orders[n-1]`` spanned by integer rows, any residues, one entry per column."""
+    n = len(orders)
+    if any(len(r) != n for r in rows):
+        raise SchemaMismatch("row width does not match group rank")
+    flat = tuple(itertools.chain.from_iterable(rows))
+    return Subgroup(FiniteAbelianGroup(tuple(orders)), IntMatrix(len(rows), n, flat))
 
 
 def trivial(parent: FiniteAbelianGroup) -> Subgroup:
@@ -249,6 +256,7 @@ __all__ = [
     "Subgroup",
     "direct_sum",
     "span",
+    "row_span",
     "trivial",
     "full",
     "member",

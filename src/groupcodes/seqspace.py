@@ -14,7 +14,8 @@ over the coordinates of an effective window ``[0, W)`` plus one block of
 ``WindowCodec`` owns that instance's layout: the columns each coordinate
 of ``[0, W + L)`` occupies in one flat residue tuple, and the fold of a
 coordinate ``i >= W + L`` onto ``W + (i - W) % L``.  Every decider reads
-the layout from it, through ``window_rows``.
+the layout from it, through ``window_rows``, which encodes each generator
+once; ``project`` and ``supported_rows`` read columns of those rows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .finabel import (
     Subgroup,
     direct_sum,
     enumerate_subgroup,
-    span,
+    row_span,
     subgroup_equal,
 )
 from .intlinalg import IntMatrix, kernel_mod
@@ -195,18 +196,10 @@ def effective_window(h: ProductSubgroup) -> tuple[int, int]:
     return w, l
 
 
-def ambient_group(schema: CoordSchema, coords: Sequence[int]) -> FiniteAbelianGroup:
-    return direct_sum(schema.group_at(i) for i in coords)
-
-
 def project(h: ProductSubgroup, j: Iterable[int]) -> Subgroup:
-    """Projection of the subgroup onto the coordinates in ``j`` (sorted).
-
-    Only the coordinates read are encoded, not the whole window.
-    """
-    coords = sorted(set(j))
-    ambient = ambient_group(h.schema, coords)
-    return span(ambient, [ambient.element([c for i in coords for c in g.value_at(i).coords]) for g in h.gens])
+    """Projection of the subgroup onto the coordinates in ``j`` (sorted): a column slice of its window rows."""
+    codec, rows = window_rows(h)
+    return codec.project(rows, j)
 
 
 def intersect_directsum(h: ProductSubgroup) -> ProductSubgroup:
@@ -219,31 +212,34 @@ def intersect_directsum(h: ProductSubgroup) -> ProductSubgroup:
 
 
 def intersect_sum_window(h: ProductSubgroup, window: Iterable[int]) -> ProductSubgroup:
-    """Elements of the subgroup supported inside the finite coordinate set.
+    """Elements of the subgroup supported inside the finite coordinate set: ``supported_rows`` decoded."""
+    codec, rows = window_rows(h)
+    return ProductSubgroup(h.schema, tuple(map(codec.decode, supported_rows((codec, rows), window))))
+
+
+def supported_rows(encoded: tuple[WindowCodec, Sequence[Sequence[int]]], window: Iterable[int]) -> list[list[int]]:
+    """Nonzero residue rows, in the codec's layout, that span the rows' elements supported inside ``window``.
 
     Such an element vanishes on the block ``[W, W + L)``, hence from ``W``
-    on, so it is a combination of the generators' window rows that vanishes
-    on the columns of ``([0, W) - window) + [W, W + L)``.
+    on, so it is a combination of the window rows that vanishes on the
+    columns of ``([0, W) - window) + [W, W + L)``.
     """
+    codec, rows = encoded
     keep = set(window)
     if any(i < 0 for i in keep):
         raise IndexError("coordinates are indexed from 0")
-    if not h.gens:
-        return ProductSubgroup(h.schema, ())
-    codec, rows = window_rows(h)
     w, l, orders = codec.w, codec.l, codec.ambient.orders
     cols = codec.columns([i for i in range(w) if i not in keep] + list(range(w, w + l)))
     matrix = IntMatrix(len(cols), len(rows), tuple(r[c] for c in cols for r in rows))
     coeffs = kernel_mod(matrix, [orders[c] for c in cols])
-    gens = []
+    part = []
     for i in range(coeffs.rows):
         x = [0] * len(orders)
         for a, r in zip(coeffs.row(i), rows):
             if a:
                 x = [u + a * v for u, v in zip(x, r)]
-        if any(map(mod, x, orders)):
-            gens.append(codec.decode(codec.ambient.element(x)))
-    return ProductSubgroup(h.schema, tuple(gens))
+        part.append(list(map(mod, x, orders)))
+    return list(filter(any, part))
 
 
 @dataclass(frozen=True)
@@ -288,14 +284,17 @@ class WindowCodec:
             raise SchemaMismatch("element is not bounded by this window")
         return tuple([c for i in range(self.w + self.l) for c in e.value_at(i).coords])
 
-    def encode(self, e: SeqElement) -> GroupElement:
-        return self.ambient.element(self.residues(e))
+    def project(self, rows: Iterable[Sequence[int]], coords: Iterable[int]) -> Subgroup:
+        """The span of the rows' values on the coordinates in ``coords`` (sorted), each folded onto the window."""
+        cols, orders = self.columns(sorted(set(coords))), self.ambient.orders
+        return row_span([orders[c] for c in cols], [[r[c] for c in cols] for r in rows])
 
-    def decode(self, x: GroupElement) -> SeqElement:
-        if x.parent != self.ambient:
-            raise SchemaMismatch("element outside the window ambient group")
+    def decode(self, x: Sequence[int]) -> SeqElement:
+        """The element with the residues ``x`` on ``[0, w + l)``, in this layout."""
+        if len(x) != self.ambient.n:
+            raise SchemaMismatch("residue count does not match the window")
         offsets = self.offsets
-        vals = [self.schema.group_at(i).element(x.coords[offsets[i] : offsets[i + 1]]) for i in range(self.w + self.l)]
+        vals = [self.schema.group_at(i).element(x[offsets[i] : offsets[i + 1]]) for i in range(self.w + self.l)]
         return SeqElement(self.schema, tuple(vals[: self.w]), tuple(vals[self.w :]))
 
 
@@ -308,12 +307,12 @@ def window_rows(h: ProductSubgroup) -> tuple[WindowCodec, list[tuple[int, ...]]]
 def window_subgroup(h: ProductSubgroup) -> tuple[Subgroup, WindowCodec]:
     """The subgroup as a finite abelian instance over its effective window."""
     codec, rows = window_rows(h)
-    return span(codec.ambient, map(codec.ambient.element, rows)), codec
+    return row_span(codec.ambient.orders, rows), codec
 
 
 def enumerate_elements(h: ProductSubgroup, cap: int = DEFAULT_ENUM_CAP) -> list[SeqElement]:
     sub, codec = window_subgroup(h)
-    return [codec.decode(x) for x in enumerate_subgroup(sub, cap)]
+    return [codec.decode(x.coords) for x in enumerate_subgroup(sub, cap)]
 
 
 def subgroup_order(h: ProductSubgroup) -> int:
@@ -325,12 +324,9 @@ def subgroups_equal(h1: ProductSubgroup, h2: ProductSubgroup) -> bool:
     """Mathematical equality of two generated subgroups over one schema."""
     if h1.schema != h2.schema:
         raise SchemaMismatch("subgroups over different schemas")
-    w1, l1 = effective_window(h1)
-    w2, l2 = effective_window(h2)
-    w, l = max(w1, w2), lcm(l1, l2)
-    codec = WindowCodec.for_window(h1.schema, w, l)
-    s1 = span(codec.ambient, [codec.encode(g) for g in h1.gens])
-    s2 = span(codec.ambient, [codec.encode(g) for g in h2.gens])
+    (w1, l1), (w2, l2) = effective_window(h1), effective_window(h2)
+    codec = WindowCodec.for_window(h1.schema, max(w1, w2), lcm(l1, l2))
+    s1, s2 = (row_span(codec.ambient.orders, [codec.residues(g) for g in h.gens]) for h in (h1, h2))
     return subgroup_equal(s1, s2)
 
 
@@ -346,10 +342,10 @@ __all__ = [
     "constant",
     "support",
     "effective_window",
-    "ambient_group",
     "project",
     "intersect_directsum",
     "intersect_sum_window",
+    "supported_rows",
     "window_rows",
     "window_subgroup",
     "enumerate_elements",

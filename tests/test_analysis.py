@@ -17,6 +17,8 @@ from groupcodes.control import (
     DefectProfile,
     WindowOracle,
     _basis_rows,
+    _claim_holds,
+    _spans,
     _splice_spans,
     controllable_at,
     is_k_controllable,
@@ -40,6 +42,7 @@ from groupcodes.seqspace import (
     project,
     subgroup_order,
     uniform_schema,
+    window_rows,
     window_subgroup,
 )
 from test_finabel import presentation
@@ -108,11 +111,12 @@ def test_splice_check_is_read_off_segment_defects(h):
     # cut n >= 1 splices with gap k exactly when d(n), the defect of [0, n - 1], is at most n + k - 1
     w, l = effective_window(h)
     defects = [uniformity_defect(h, range(n)).defect for n in range(1, w + l + 1)]
+    encoded = window_rows(h)
     for n in range(w + l + 1):
         d = defects[n - 1] if n else None
         for k in range(w + l + 2):
             expected = n == 0 or (d is not None and d <= n + k - 1)
-            assert subgroup_equal(*_splice_spans(h, n, k)[:2]) == expected
+            assert subgroup_equal(*_splice_spans(encoded, n, k)[:2]) == expected
     for k in range(w + l + 2):
         assert verify_verdict(h, is_k_controllable(h, k))
 
@@ -234,10 +238,20 @@ def test_window_layout_is_read_from_the_codec():
     # Which columns a coordinate occupies, and how a coordinate past the window
     # folds, are worked out only by seqspace.WindowCodec.
     layout = {"value_at", "group_at", "accumulate", "restrict"}
-    for reader in (Analysis, WindowOracle, _splice_spans):
+    for reader in (Analysis, WindowOracle, _splice_spans, project, _spans, verify_verdict):
         nodes = [n for n in ast.walk(ast.parse(inspect.getsource(reader))) if isinstance(n, (ast.Name, ast.Attribute))]
         used = {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
         assert sorted(used & layout) == [], reader.__name__
+
+
+def test_replay_names_nothing_from_analysis():
+    # Certificate replay re-derives every span on its own; it shares no code with the deciders it checks.
+    (cls,) = ast.parse(inspect.getsource(Analysis)).body
+    analysis = {"Analysis"} | {m.name for m in cls.body if isinstance(m, ast.FunctionDef) and m.name[:2] != "__"}
+    for replay in (verify_verdict, _claim_holds, _spans, _splice_spans):
+        nodes = [n for n in ast.walk(ast.parse(inspect.getsource(replay))) if isinstance(n, (ast.Name, ast.Attribute))]
+        used = {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+        assert sorted(used & analysis) == [], replay.__name__
 
 
 def test_verdicts_read_the_defect_scan_not_the_subgroup():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from groupcodes import control
+from groupcodes import control, seqspace
 from groupcodes.control import (
     CONTROLLABLE,
     CONTROLLABLE_AT,
@@ -263,9 +263,10 @@ class TestKnownInstances:
         joint_ok_below_final = True
         from groupcodes.control import _splice_spans
         from groupcodes.finabel import subgroup_equal
+        from groupcodes.seqspace import window_rows
 
         for n in range(w + l):
-            joint, product, _ = _splice_spans(h, n, 1)
+            joint, product, _ = _splice_spans(window_rows(h), n, 1)
             joint_ok_below_final = joint_ok_below_final and subgroup_equal(joint, product)
         assert joint_ok_below_final
 
@@ -442,7 +443,7 @@ class TestForgedEvidence:
 
             return call
 
-        monkeypatch.setattr(control, "intersect_sum_window", bounded(control.intersect_sum_window, len))
+        monkeypatch.setattr(control, "supported_rows", bounded(control.supported_rows, len))
         monkeypatch.setattr(control, "_splice_spans", bounded(control._splice_spans, lambda n, k: n))
         window = is_uniformly_controllable(DENSE)
         for k in (10**6, 10**12):
@@ -450,6 +451,22 @@ class TestForgedEvidence:
         splice = is_k_controllable(BLOCK, 0)
         assert verify_verdict(BLOCK, splice)
         assert not verify_verdict(BLOCK, replace(splice, evidence=replace(splice.evidence, n=10**12)))
+
+    def test_one_encoding_per_replay(self, monkeypatch):
+        # Replay encodes the generators once per call; every span it compares slices those rows.
+        verdicts = [is_k_controllable(BLOCK, 2), is_uniformly_controllable(BLOCK)]
+        calls, window_rows = [], seqspace.window_rows
+
+        def counted(h):
+            calls.append(h)
+            return window_rows(h)
+
+        for module in (control, seqspace):
+            monkeypatch.setattr(module, "window_rows", counted)
+        for v in verdicts:
+            calls.clear()
+            assert v.holds and verify_verdict(BLOCK, v)
+            assert len(calls) == 1, v.property
 
     def test_truncated_claim_set(self):
         for v in (is_controllable(BLOCK), is_uniformly_controllable(BLOCK), is_k_controllable(BLOCK, 2)):

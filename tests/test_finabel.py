@@ -18,6 +18,7 @@ from groupcodes.finabel import (
     full,
     invariant_factors,
     member,
+    row_span,
     span,
     subgroup_equal,
     subgroup_le,
@@ -111,6 +112,20 @@ class TestSpanMembership:
             s2 = span(g, doubled)
             assert s1 == s2
             assert subgroup_equal(s1, s2)
+
+    def test_row_span_matches_span(self):
+        # Rows may hold any residues, negative or past the orders; no rows and no columns are spans too.
+        rng = random.Random(34)
+        groups = [random_group(rng) for _ in range(60)] + [FiniteAbelianGroup(())]
+        for g in groups:
+            rows = [[rng.randrange(-3 * o, 3 * o) for o in g.orders] for _ in range(rng.randrange(0, 4))]
+            s = row_span(g.orders, rows)
+            assert s == span(g, map(g.element, rows))
+            assert s.order() == len(closure(g, list(map(g.element, rows))))
+        assert row_span((), [[], []]).order() == 1
+        assert row_span((2, 3), []) == trivial(FiniteAbelianGroup((2, 3)))
+        with pytest.raises(SchemaMismatch):
+            row_span((2, 3), [[1]])
 
     def test_trivial_and_full(self):
         g = FiniteAbelianGroup((2, 3))

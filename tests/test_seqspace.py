@@ -187,24 +187,25 @@ class TestWindowCodec:
             schema = random_schema(rng)
             e = random_element(rng, schema)
             codec = WindowCodec.for_window(schema, e.prefix_len + 1, e.period_len)
-            assert codec.decode(codec.encode(e)) == e
+            assert codec.decode(codec.residues(e)) == e
+        with pytest.raises(SchemaMismatch):
+            codec.decode(codec.residues(e)[1:])
 
     def test_rejects_unbounded(self):
         s = uniform_schema(Z6)
         codec = WindowCodec.for_window(s, 1, 2)
         with pytest.raises(SchemaMismatch):
-            codec.encode(elem(s, [], period=[1, 2, 3]))
+            codec.residues(elem(s, [], period=[1, 2, 3]))
 
 
 class TestProjectAndIntersect:
     def test_project_matches_enumeration(self):
         rng = random.Random(44)
-        for _ in range(40):
-            h = random_subgroup(rng)
+        for h in [random_subgroup(rng) for _ in range(40)] + [ProductSubgroup(random_schema(rng), ())]:
             elems = enumerate_elements(h, cap=4000)
             w, l = effective_window(h)
-            # Past the window, folded, unsorted and repeated coordinates as well as the first ones.
-            for coords in [(0,), (1,), tuple(range(min(w + l, 3))), (w + l + 2,), (0, w + l, 10**6), (2, 0, w, 2)]:
+            # No coordinates; past the window, folded, unsorted and repeated ones; the first ones.
+            for coords in [(), (0,), (1,), tuple(range(min(w + l, 3))), (w + l + 2,), (0, w + l, 10**6), (2, 0, w, 2)]:
                 p = project(h, coords)
                 read = sorted(set(coords))
                 expected = {p.parent.element([c for i in read for c in e.value_at(i).coords]) for e in elems}
