@@ -19,22 +19,21 @@ from ``Analysis``: it encodes the generators once per call (``window_rows``)
 and compares column slices of those rows and of window parts' rows.
 
 The deciders are views over one ``Analysis`` per subgroup.  It encodes the
-generators once on ``[0, W + L)``, the columns of the last coordinate first,
-and runs one ``echelon_mod``.  Its result is a triangular basis of a
-full-rank lattice, so it has the suffix property: the rows whose pivots lie
-in the columns of coordinates ``0..k`` span exactly the representatives that
+generators once on ``[0, W + L)`` and runs one ``echelon_mod`` on their rows
+with the columns reversed.  Its result is a triangular basis of a full-rank
+lattice, so it has the suffix property: the rows whose pivots lie in the
+columns of coordinates ``0..k`` span exactly the representatives that
 vanish above ``k`` (Cohen, A Course in Computational Algebraic Number
-Theory, GTM 138, 2.4).  They give the window part ``part(k)``, the elements
+Theory, GTM 138, 2.4).  They are the basis's last rows; with their columns
+read forwards again they give the window part ``part(k)``, the elements
 supported inside ``[0, k]``, for ``k < W``.  An element supported inside
 ``[0, k]`` with ``k >= W`` vanishes on a whole block past ``W``, hence on
 ``[W, infinity)``, so ``k`` is clamped to ``W - 1`` and that part is the
-finite-support part (trivial when ``W = 0``).  A projection slices columns
-of the generator rows or of a part's rows.  The layout of ``[0, W + L)``,
-which columns each coordinate occupies and how a coordinate ``i >= W + L``
-folds onto the block coordinate ``W + (i - W) % L``, is read from
-``seqspace.WindowCodec``; no code here works it out again.
+finite-support part (trivial when ``W = 0``).  Every projection is ``WindowCodec.project`` of
+the generator rows or of a part's rows: the layout of ``[0, W + L)`` and the
+fold of a coordinate ``i >= W + L`` onto ``W + (i - W) % L`` are the codec's.
 
-Segment data are read in natural column order: by the suffix property the
+A segment's basis needs no echelon of its own: by the suffix property the
 projection onto ``[0, n)`` is the upper-left block of the window's canonical
 basis.  Each block is cut once per analysis, and the plain, uniform and
 splice claims share it.  The parts are nested, and ``part(k + 1)`` is
@@ -56,7 +55,8 @@ Trott, IEEE Trans. IT 39(5), 1993).
 
 Plain and uniform controllability read the same defects: the segment
 ``[0, n - 1]`` holds exactly when ``d(n)`` is not None, and the first None is
-the first failing segment.  Elements are determined on ``[0, W + L)``, so weak,
+the first failing segment; a pattern of it with no finite-support match
+witnesses both failures.  Elements are determined on ``[0, W + L)``, so weak,
 plain and uniform controllability all hold exactly when ``H`` lies in the
 direct sum of the ``G_i``: when every generator's repeating block is zero.
 
@@ -200,71 +200,50 @@ def _separating_element(larger: tuple[tuple[int, ...], ...], smaller: Subgroup) 
 class Analysis:
     """Everything the deciders compute for one subgroup, from one echelon form.
 
-    The generators are encoded once on ``[0, W + L)``, the window codec's
-    rows read backwards (last coordinate first), and one ``echelon_mod`` gives
-    the triangular basis of all their representatives.  Window parts and
-    projections are column slices of the generator rows or of a tail of
-    that basis; they, the window's basis rows, the segment bases and the
-    segment defects are memoised on the instance.  A segment's basis is an
-    upper-left block of the window's basis, cut once and shared by every
-    verdict's claims.  The futures of ``k_controllable(k)`` come from one
-    suffix sweep that starts with one ``echelon_mod`` at coordinate ``k``
-    (Cohen, GTM 138, 2.4); only the folded futures past ``W`` and the
-    witnesses are projected on their own.  One pass inserts the basis rows
-    into ``diag(orders)`` a coordinate at a time and records the pivots of
-    every window part; a segment's defect is a running maximum over them,
-    and ``uniformity_defect`` reads the parts' image orders off the same
-    pass on its coordinates.  The plain, uniform, k- and strong verdicts
-    all read ``segment_defects``; the first None there is the first failing
-    segment.  The subgroup itself is read only while encoding.  An instance
-    serves one call; nothing is cached across instances.
+    The generators are encoded once on ``[0, W + L)``, and one
+    ``echelon_mod`` on their rows, with the columns of the last coordinate
+    first, gives the triangular basis of all their representatives, read
+    back in the codec's column order.  A window part's rows are a tail of
+    that basis; every projection is ``WindowCodec.project`` of them or of
+    the generator rows.  A segment's basis is an upper-left block of the
+    window's basis, cut once and shared by every verdict's claims.  The
+    futures of ``k_controllable(k)`` come from one suffix sweep that starts
+    with one ``echelon_mod`` at coordinate ``k`` (Cohen, GTM 138, 2.4).  One
+    pass inserts the basis rows into ``diag(orders)`` a coordinate at a time
+    and records the pivots of every window part; a segment's defect is a
+    running maximum over them, and ``uniformity_defect`` reads the parts'
+    image orders off the same pass on its coordinates.  Every verdict reads
+    ``segment_defects``; the first None there is the first failing segment,
+    whose witness the plain and uniform verdicts share.  The subgroup is
+    read only while encoding; nothing is cached across instances.
     """
 
     def __init__(self, h: ProductSubgroup):
-        self._codec, rows = window_rows(h)
+        self._codec, self._gen_rows = window_rows(h)
         self.w, self.l, self._offsets = self._codec.w, self._codec.l, self._codec.offsets
-        # The codec's rows read backwards, so the columns of the last coordinate
-        # come first: coordinate i occupies the columns [n - _offsets[i + 1], n - _offsets[i]) of n.
-        self._orders = self._codec.ambient.orders[::-1]
-        self._gen_rows = [r[::-1] for r in rows]
-        flat = tuple(chain.from_iterable(self._gen_rows))
-        basis = echelon_mod(IntMatrix(len(self._gen_rows), len(self._orders), flat), self._orders)
-        self._basis_rows = [basis.row(i) for i in range(basis.rows)]
-        self._projections: dict[tuple[int | None, tuple[int, ...]], Subgroup] = {}
+        # Reversed columns put the pivots of coordinates 0..k in the basis's last rows.
+        orders = self._codec.ambient.orders[::-1]
+        flat = tuple(chain.from_iterable(r[::-1] for r in self._gen_rows))
+        basis = echelon_mod(IntMatrix(len(self._gen_rows), len(orders), flat), orders)
+        self._basis_rows = [basis.row(i)[::-1] for i in range(basis.rows)]
         self._segments: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def _part_rows(self, k: int) -> list[tuple[int, ...]]:
+        """Basis rows that span ``part(k)``: those with pivots in the columns of ``[0, min(k, W - 1)]``."""
+        return self._basis_rows[len(self._basis_rows) - self._offsets[min(k, self.w - 1) + 1] :]
 
     def part(self, k: int) -> Subgroup:
         """Elements supported inside ``[0, k]``, on the window ``[0, W + L)``."""
-        return self._project(k, tuple(range(self.w + self.l)))
+        return self._codec.project(self._part_rows(k), range(self.w + self.l))
 
     @cached_property
     def window(self) -> Subgroup:
         """The subgroup on ``[0, W + L)``: ``window_subgroup(h)``'s subgroup."""
-        return self._project(None, tuple(range(self.w + self.l)))
+        return self._codec.project(self._gen_rows, range(self.w + self.l))
 
     @cached_property
     def _window_rows(self) -> tuple[tuple[int, ...], ...]:
         return _basis_rows(self.window)
-
-    def _columns(self, coords: Iterable[int]) -> list[int]:
-        """The codec's columns of ``coords``, each coordinate folded onto the window, read backwards."""
-        n = len(self._orders)
-        return [n - 1 - c for c in self._codec.columns(coords)]
-
-    def _project(self, k: int | None, coords: tuple[int, ...]) -> Subgroup:
-        """Projection onto the sorted ``coords`` of the subgroup (``k`` None) or of ``part(k)``.
-
-        The memo is keyed on the columns read, so folded coordinates share it.
-        """
-        if k is not None:
-            k = min(k, self.w - 1)
-        cols = self._columns(coords)
-        key = (k, tuple(cols))
-        if key not in self._projections:
-            n = len(self._orders)
-            rows = self._gen_rows if k is None else self._basis_rows[n - self._offsets[k + 1] :]
-            self._projections[key] = row_span([self._orders[c] for c in cols], [[r[c] for c in cols] for r in rows])
-        return self._projections[key]
 
     def _segment(self, n: int) -> tuple[tuple[int, ...], ...]:
         """Canonical basis of the projection onto ``[0, n)``: the upper-left block of the window's, memoised."""
@@ -277,12 +256,13 @@ class Analysis:
         """Canonical bases of the futures ``[m, max(W, m) + L)`` for ``m = k, k + 1, ...``.
 
         Up to ``m = W`` they come from the suffix sweep the module docstring
-        describes.  Past ``W`` a future folds onto a rotation of ``[W, W + L)``:
-        by whole blocks it is the sweep's last basis, otherwise a projection.
+        describes.  Past ``W`` a future folds onto the rotation ``(m - W) % L``
+        of ``[W, W + L)``: rotation 0 is the sweep's last basis, the others
+        are projected once per sweep.
         """
-        w, l, offsets, orders = self.w, self.l, self._offsets, self.window.parent.orders
+        w, l, offsets, orders = self.w, self.l, self._offsets, self._codec.ambient.orders
         m = min(k, w)
-        rows = _basis_rows(self._project(None, tuple(range(m, w + l))))
+        rows = self._window_rows if m == 0 else _basis_rows(self._codec.project(self._gen_rows, range(m, w + l)))
         while True:
             if m >= k:
                 yield rows
@@ -294,13 +274,16 @@ class Analysis:
                 insert_mod(basis, r[g:], tail)
             reduce_above_pivots(basis)
             rows, m = tuple(map(tuple, basis)), m + 1
+        rotations = {0: rows}
         for m in count(max(k, w + 1)):
-            yield rows if (m - w) % l == 0 else _basis_rows(self._project(None, tuple(range(m, m + l))))
+            if (m - w) % l not in rotations:
+                rotations[(m - w) % l] = _basis_rows(self._codec.project(self._gen_rows, range(m, m + l)))
+            yield rotations[(m - w) % l]
 
     def controllable_at(self, j: Iterable[int]) -> Verdict:
         coords = tuple(sorted(set(j)))
-        ph = self._project(None, coords)
-        pd = self._project(self.w + self.l, coords)
+        ph = self._codec.project(self._gen_rows, coords)
+        pd = self._codec.project(self._part_rows(self.w), coords)
         basis = _basis_rows(ph)
         if subgroup_equal(ph, pd):
             claim = EqualityClaim(coords, basis, basis)
@@ -316,16 +299,12 @@ class Analysis:
         a finite-support match on ``[0, W + L)`` vanishes beyond the window.
         """
         w, l = self.w, self.l
-        claims = []
-        for n, d in enumerate(self.segment_defects, start=1):
-            coords, basis = tuple(range(n)), self._segment(n)
-            if d is None:
-                x = _separating_element(basis, self._project(w + l, coords))
-                context = "pattern of the subgroup with no finite-support match"
-                return Verdict(CONTROLLABLE, False, Witness(coords, x, "directsum", context=context))
-            claims.append(EqualityClaim(coords, basis, basis))
+        if self._first_failure:
+            context = "pattern of the subgroup with no finite-support match"
+            return Verdict(CONTROLLABLE, False, Witness(*self._first_failure, "directsum", context=context))
+        claims = tuple(EqualityClaim(tuple(range(n)), self._segment(n), self._segment(n)) for n in range(1, w + l + 1))
         note = f"initial segments up to {w + l - 1} cover all finite coordinate sets at window ({w}, {l})"
-        return Verdict(CONTROLLABLE, True, Certificate("projection_equality", tuple(claims), note))
+        return Verdict(CONTROLLABLE, True, Certificate("projection_equality", claims, note))
 
     def _part_pivots(self, coords: tuple[int, ...]) -> list[list[int]]:
         """Pivots on the sorted ``coords`` of every window part, from one insertion pass.
@@ -335,8 +314,8 @@ class Analysis:
         ``min(k + 1, W)`` is ``part(k)``'s, the last the subgroup's.  A
         column that folding repeats is read once; it adds no image elements.
         """
-        cols = list(dict.fromkeys(self._columns(coords)))
-        n, offsets, orders = len(self._orders), self._offsets, [self._orders[c] for c in cols]
+        cols = list(dict.fromkeys(self._codec.columns(coords)))
+        n, offsets, orders = len(self._basis_rows), self._offsets, [self._codec.ambient.orders[c] for c in cols]
         basis = [[0] * k + [o] + [0] * (len(cols) - k - 1) for k, o in enumerate(orders)]
         pivots = [orders]
         for i in range(self.w + self.l):
@@ -375,17 +354,23 @@ class Analysis:
             defects.append(d)
         return tuple(defects)
 
+    @cached_property
+    def _first_failure(self) -> tuple[tuple[int, ...], GroupElement] | None:
+        """The first failing segment's coordinates and a pattern of it with no finite-support match, or None."""
+        if None not in self.segment_defects:
+            return None
+        coords = tuple(range(len(self.segment_defects)))
+        finite = self._codec.project(self._part_rows(self.w), coords)
+        return coords, _separating_element(self._segment(len(coords)), finite)
+
     def uniformly_controllable(self) -> Verdict:
-        claims = []
-        for n, d in enumerate(self.segment_defects, start=1):
-            coords, basis = tuple(range(n)), self._segment(n)
-            if d is None:
-                top = self.w + self.l
-                x = _separating_element(basis, self._project(top, coords))
-                context = "pattern not matched by any support window up to W+L"
-                return Verdict(UNIFORMLY_CONTROLLABLE, False, Witness(coords, x, "window", k=top, context=context))
-            claims.append(EqualityClaim(coords, basis, basis, k=d))
-        return Verdict(UNIFORMLY_CONTROLLABLE, True, Certificate("window_equality", tuple(claims)))
+        if self._first_failure:
+            context = "pattern not matched by any support window up to W+L"
+            witness = Witness(*self._first_failure, "window", k=self.w + self.l, context=context)
+            return Verdict(UNIFORMLY_CONTROLLABLE, False, witness)
+        segments = enumerate(self.segment_defects, start=1)
+        claims = tuple(EqualityClaim(tuple(range(n)), self._segment(n), self._segment(n), k=d) for n, d in segments)
+        return Verdict(UNIFORMLY_CONTROLLABLE, True, Certificate("window_equality", claims))
 
     def k_controllable(self, k: int) -> Verdict:
         if k < 0:
@@ -397,7 +382,7 @@ class Analysis:
             basis = tuple(r + (0,) * len(lower) for r in upper) + tuple((0,) * len(upper) + r for r in lower)
             coords = tuple(chain(*_splice_coords(self.w, self.l, n, k)))
             if n and (defects[n - 1] is None or defects[n - 1] > n + k - 1):
-                x = _separating_element(basis, self._project(None, coords))
+                x = _separating_element(basis, self._codec.project(self._gen_rows, coords))
                 context = "past/future pair with no spliced element at this cut"
                 return Verdict(K_CONTROLLABLE, False, Witness(coords, x, "splice", n=n, k=k, context=context), k=k)
             claims.append(EqualityClaim(coords, basis, basis, n=n, k=k))
@@ -520,7 +505,9 @@ def verify_verdict(h: ProductSubgroup, v: Verdict) -> bool:
     cut ``0..W+L`` at the verdict's gap; a verdict at one coordinate set
     holds one projection claim.  A witness must lie in the outer
     span and not in the inner one; a window witness needs ``k >= W + L``,
-    and a k-controllability witness the verdict's gap.
+    and a k-controllability witness the verdict's gap.  A failing strong
+    verdict means only that no gap up to its witness's ``k`` splices at
+    every cut: the ``k_max`` it was decided with is not recorded.
     """
     if v.property not in _EVIDENCE:
         return False
@@ -727,7 +714,10 @@ class WindowOracle:
         return range(n, max(n, self.w) + 1)
 
     def controllable_splice(self) -> bool:
-        """Pair-by-pair splicing with a free reconnection point."""
+        """Pair-by-pair splicing with a free reconnection point: the splice form of the definition.
+
+        The tests check the pattern form ``controllable`` against it.
+        """
         for n in range(self.w + self.l + 1):
             pasts, _ = self._pasts(self.offsets[n])
             joints = [(self._futures(self._from(m))[0], self._splices(n, m)[0]) for m in self._reconnection_points(n)]
@@ -738,7 +728,10 @@ class WindowOracle:
         return True
 
     def uniform_splice(self) -> bool:
-        """One reconnection point per cut that serves every pair."""
+        """One reconnection point per cut that serves every pair: the splice form of the definition.
+
+        The tests check the pattern form ``uniformly_controllable`` against it.
+        """
         return all(any(self._joins(n, m) for m in self._reconnection_points(n)) for n in range(self.w + self.l + 1))
 
 

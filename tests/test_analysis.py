@@ -27,7 +27,7 @@ from groupcodes.control import (
     verify_verdict,
 )
 from groupcodes.errors import CapExceeded
-from groupcodes.families import block_family, z2_power_example
+from groupcodes.families import block_family, dense_trivial_sum_family, z2_power_example
 from groupcodes.finabel import FiniteAbelianGroup, invariant_factors, subgroup_equal
 from groupcodes.intlinalg import snf
 from groupcodes.seqspace import (
@@ -154,24 +154,16 @@ def test_report_invariant_under_derived_generators(h, rng, c):
 def test_echelon_parts_match_intersect_sum_window(h):
     w, l = effective_window(h)
     a = Analysis(h)
-    targets = [tuple(range(n)) for n in range(1, w + l + 1)] + [(0,)]
+    folded = [(w + l,), (0, w + l + 1), tuple(range(w, w + 2 * l + 1))]
+    targets = [tuple(range(n)) for n in range(1, w + l + 1)] + [(0,)] + folded
     for k in range(w + l + 2):
         part = intersect_sum_window(h, range(k + 1))
         assert a.part(k) == project(part, range(w + l))
         for coords in targets:
-            assert a._project(k, coords) == project(part, coords)
-    for coords in [(w + l,), (0, w + l + 1), tuple(range(w, w + 2 * l + 1)), (3 * (w + l) + 1,)]:
-        assert a._project(None, coords) == project(h, coords)
+            assert a._codec.project(a._part_rows(k), coords) == project(part, coords)
+    for coords in folded + [(3 * (w + l) + 1,)]:
+        assert a._codec.project(a._gen_rows, coords) == project(h, coords)
     assert a.window == window_subgroup(h)[0]
-
-
-@PROPERTY
-@given(product_subgroups())
-def test_projection_memo_is_keyed_on_folded_coordinates(h):
-    a = Analysis(h)
-    for i in range(a.w, a.w + 2 * a.l):
-        assert a._project(None, (i,)) is a._project(None, (i + a.l,))
-        assert a._project(0, tuple(range(i, i + a.l))) is a._project(0, tuple(range(i + a.l, i + 2 * a.l)))
 
 
 def _trivial_window(a):
@@ -184,7 +176,7 @@ def test_constant_generator_has_empty_explicit_window():
     a = Analysis(h)
     assert (a.w, a.l) == (0, 1)
     assert _trivial_window(a)
-    assert a._project(None, (0, 5)).order() == 2
+    assert project(h, (0, 5)).order() == 2
     assert a.segment_defects == (None,)
     assert not a.controllable().holds and verify_verdict(h, a.controllable())
     assert not a.uniformly_controllable().holds and a.least_gap() is None
@@ -263,12 +255,18 @@ def test_verdicts_read_the_defect_scan_not_the_subgroup():
         nodes = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
         return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
 
-    encoders = {"h", "window_rows", "residues", "encode", "_splice_spans", "project", "span"}
-    assert sorted(f"{m}.{x}" for m, node in methods.items() if m != "__init__" for x in names(node) & encoders) == []
+    def encodes(node):
+        # The bare name project is seqspace's, which encodes h; the codec's project reads rows.
+        bare = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        return names(node) & {"h", "window_rows", "residues", "encode", "_splice_spans", "span"} | bare & {"project"}
+
+    assert sorted(f"{m}.{x}" for m, node in methods.items() if m != "__init__" for x in encodes(node)) == []
     assert "h" not in {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)}
     assert "controllable_at" not in names(methods["controllable"])
+    # Every projection is WindowCodec.project; no method spans rows or maps columns on its own.
+    assert sorted(f"{m}.{x}" for m, node in methods.items() for x in names(node) & {"row_span", "_columns"}) == []
     # Defects read the pivots of one insertion pass, not canonicalised parts or projections.
-    rebuilders = {"uniformity_defect", "part", "_project", "subgroup_equal", "echelon_mod"}
+    rebuilders = {"uniformity_defect", "part", "project", "subgroup_equal", "echelon_mod"}
     assert not names(methods["segment_defects"]) & rebuilders
     assert not names(methods["uniformity_defect"]) & rebuilders
     assert [a.arg for a in methods["uniformity_defect"].args.args] == ["self", "j"]
@@ -283,8 +281,9 @@ def test_verdicts_read_the_defect_scan_not_the_subgroup():
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("h", [z2_power_example(4), block_family(2, (3, 4))], ids=["chain", "block"])
-def test_defect_tables_run_no_echelon(h, monkeypatch):
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """The widths of the ``echelon_mod`` calls made from here on, wherever the package calls it."""
     calls, echelon_mod = [], intlinalg.echelon_mod
 
     def counted(gens, orders):
@@ -293,13 +292,44 @@ def test_defect_tables_run_no_echelon(h, monkeypatch):
 
     for module in (intlinalg, finabel, control):
         monkeypatch.setattr(module, "echelon_mod", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h", [z2_power_example(4), block_family(2, (3, 4))], ids=["chain", "block"])
+def test_defect_tables_run_no_echelon(h, echelon_calls):
     a = Analysis(h)
     a.window
-    assert calls
-    calls.clear()
+    assert echelon_calls
+    echelon_calls.clear()
     a.segment_defects
     a.uniformity_defect((0,))
-    assert calls == []
+    assert echelon_calls == []
+
+
+def test_uniform_witness_is_the_controllable_one(echelon_calls):
+    a = Analysis(dense_trivial_sum_family(FiniteAbelianGroup((2,)), 3, 12))
+    plain = a.controllable().evidence
+    echelon_calls.clear()
+    uniform = a.uniformly_controllable().evidence
+    assert echelon_calls == []
+    assert (uniform.variant, uniform.j, uniform.h_proj) == ("window", plain.j, plain.h_proj)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_futures_past_the_window_project_each_rotation_once(l, echelon_calls):
+    # H is nonzero only on the coordinates l - 1 mod l, so the first segment to
+    # fail is [0, l - 1]: a gap k > W reads l + 1 futures past W, and each of
+    # the l - 1 rotations other than the block itself is projected once.
+    schema = uniform_schema(FiniteAbelianGroup((2,)))
+    zero, one = schema.tail.zero(), schema.tail.element((1,))
+    h = ProductSubgroup(schema, (SeqElement(schema, (), (zero,) * (l - 1) + (one,)),))
+    for k in range(1, 2 * l + 1):
+        a = Analysis(h)
+        assert (a.w, a.l, a.segment_defects) == (0, l, (0,) * (l - 1) + (None,))
+        a.window
+        echelon_calls.clear()
+        assert not a.k_controllable(k).holds
+        assert len(echelon_calls) <= l, (k, echelon_calls)
 
 
 @PROPERTY
@@ -469,7 +499,7 @@ def test_verdicts_at_one_coordinate_set_replay(h):
 def test_segment_bases_are_blocks_of_the_window_basis(h):
     a = Analysis(h)
     for n in range(a.w + a.l + 1):
-        assert a._segment(n) == _basis_rows(a._project(None, tuple(range(n))))
+        assert a._segment(n) == _basis_rows(project(h, range(n)))
 
 
 @PROPERTY
@@ -487,22 +517,14 @@ def test_future_sweep_gives_the_canonical_futures(h):
 @pytest.mark.parametrize(
     "h", [block_family(2, (2,) * 12), block_family(2, (4, 16)), z2_power_example(4)], ids=["gap-1", "block", "chain"]
 )
-def test_holding_k_controllable_runs_at_most_one_echelon(h, monkeypatch):
-    calls, echelon_mod = [], intlinalg.echelon_mod
-
-    def counted(gens, orders):
-        calls.append(len(orders))
-        return echelon_mod(gens, orders)
-
-    for module in (intlinalg, finabel, control):
-        monkeypatch.setattr(module, "echelon_mod", counted)
+def test_holding_k_controllable_runs_at_most_one_echelon(h, echelon_calls):
     gap, w, l = Analysis(h).least_gap(), *effective_window(h)
     for k in range(gap, w + l + 2):
         a = Analysis(h)
         a.window
-        calls.clear()
+        echelon_calls.clear()
         assert a.k_controllable(k).holds
-        assert len(calls) <= 1, (k, calls)
+        assert len(echelon_calls) <= 1, (k, echelon_calls)
 
 
 def _window_images(h, j):
