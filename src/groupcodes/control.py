@@ -86,8 +86,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, compress, count
-from operator import add, itemgetter, mod, not_
+from itertools import chain, count
+from operator import add
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalInconsistency
@@ -577,33 +577,55 @@ class WindowOracle:
     """Ground truth by exhaustive enumeration over the effective window.
 
     Every element is determined by its values on the window ``[0, W + L)``,
-    and past ``W`` it repeats its block, so it is stored as one flat residue
-    tuple in the layout of ``seqspace.WindowCodec``, whose ``columns`` fold
-    a coordinate ``i >= W + L`` onto ``W + (i - W) % L``.  The values from
-    any coordinate ``s >= W`` on determine the values from ``W`` on, and are
+    and past ``W`` it repeats its block, so it is stored by its residues in
+    the layout of ``seqspace.WindowCodec``, whose ``columns`` fold a
+    coordinate ``i >= W + L`` onto ``W + (i - W) % L``.  The values from any
+    coordinate ``s >= W`` on determine the values from ``W`` on, and are
     determined by them, so "the values from ``n`` on" is the slice from
     coordinate ``min(n, W)``: a future, a reconnection point or a support
     bound past ``W`` adds nothing.
 
+    The residues are packed into one integer, column ``c`` in the bit field
+    ``[c * b, c * b + b)``, where ``b`` is one bit wider than the largest
+    residue.  The spare top bit of each field lets two elements add field by
+    field with no carry between fields.  Every slice is then one integer
+    operation: the values before a column are the bits below it, the values
+    from a column on are a shift, and the values on some columns are a mask.
+
     Every property is a comparison of sets; no lattice computation is
     involved.  A pattern set holds the values of some elements on some
-    columns.  A splice set holds one integer per element in place of its
-    pair of slices, the past before a cut and the future from a start on.
-    Equal slices are interned into one class, numbered by the index of its
-    first element, and the pair is stored as ``past * |H| + future``.  These
-    classes are the past and future state spaces of a trellis (Forney and
-    Trott, IEEE Trans. IT 39(5), 1993).  Classes, pattern sets and splice
-    answers are memoised on the instance.
+    columns.  A splice set holds, per element, its past before a cut and its
+    future from a start on, as the element with the columns between cleared;
+    every past joins every future exactly when it has as many members as
+    there are pasts times futures.  Pasts and futures are the state spaces
+    of a trellis (Forney and Trott, IEEE Trans. IT 39(5), 1993).  A past
+    that joins every future from ``m`` on joins every future from ``m + 1``
+    on, their projection, so the least gap is one sweep over the cuts that
+    raises the gap only where a cut needs it.  Pattern sets, counts and
+    splice answers are memoised on the instance.
     """
 
     def __init__(self, h: ProductSubgroup, cap: int = ORACLE_CAP):
-        self._codec, steps = window_rows(h)
+        self._codec, rows = window_rows(h)
         self.w, self.l, self.offsets = self._codec.w, self._codec.l, self._codec.offsets
         orders = self._codec.ambient.orders
         if cap < 1:
             raise CapExceeded(1, cap)
-        elems = {(0,) * len(orders)}
-        for step in steps:
+        self._b = b = max(((o - 1).bit_length() for o in orders), default=0) + 1
+        self._field = field = (1 << b) - 1
+        modulus, top = self._pack(orders), self._pack([1 << (b - 1)] * len(orders))
+        lift = top - modulus
+
+        def add_mod(x: int, s: int) -> int:
+            # Field c of y holds y_c <= 2 o_c - 2 < 2^b, and field c of y + lift
+            # holds y_c + 2^(b-1) - o_c < 2^b, whose top bit is set exactly when
+            # y_c >= o_c; those fields take o_c off.  No field carries into, or
+            # borrows from, the next.
+            y = x + s
+            return y - (modulus & (((y + lift) & top) >> (b - 1)) * field)
+
+        elems = {0}
+        for step in map(self._pack, rows):
             # The multiples of a generator up to the first one already
             # enumerated shift the enumerated subgroup onto its other cosets,
             # so each new element is made once.
@@ -612,10 +634,24 @@ class WindowOracle:
                 shifts.append(shift)
                 if len(elems) * (len(shifts) + 1) > cap:
                     raise CapExceeded(cap + 1, cap)
-                shift = tuple(map(mod, map(add, shift, step), orders))
-            elems |= {tuple(map(mod, map(add, x, s), orders)) for s in shifts for x in elems}
-        self.elements = list(elems)
+                shift = add_mod(shift, step)
+            elems |= {add_mod(x, s) for s in shifts for x in elems}
+        self._packed = list(elems)
         self._memo: dict = {}
+
+    def _pack(self, residues: Iterable[int]) -> int:
+        """One integer holding the ``c``-th residue in the bit field of column ``c``."""
+        return sum(r << c * self._b for c, r in enumerate(residues))
+
+    def _unpack(self, values: Iterable[int], cols: Iterable[int]) -> list[tuple[int, ...]]:
+        """The residues of each value on the listed columns, in their order."""
+        field, shifts = self._field, [c * self._b for c in cols]
+        return [tuple([x >> s & field for s in shifts]) for x in values]
+
+    @property
+    def elements(self) -> list[tuple[int, ...]]:
+        """Every element's residues on the window, in the codec's column order."""
+        return self._unpack(self._packed, range(self._codec.ambient.n))
 
     def _memoised(self, key: tuple, make: Callable[[], Any]) -> Any:
         if key not in self._memo:
@@ -623,49 +659,35 @@ class WindowOracle:
         return self._memo[key]
 
     def _from(self, n: int) -> int:
-        """Start of the slice that holds the values from coordinate ``n`` on."""
-        return self.offsets[min(n, self.w)]
+        """First bit of the values from coordinate ``n`` on."""
+        return self.offsets[min(n, self.w)] * self._b
 
-    def _classes(self, cols: slice, scale: int) -> tuple[list[int], int]:
-        """Each element's class of slices ``x[cols]``, times ``scale``, and the number of classes.
+    def _mask(self, coords: Iterable[int]) -> tuple[list[int], int]:
+        """The columns of the listed coordinates, and the mask of their bit fields."""
+        cols = self._codec.columns(coords)
+        return cols, sum(self._field << c * self._b for c in set(cols))
 
-        A class is numbered by the index of its first element, so ids are below ``|H|``.
-        """
+    def _values(self, mask: int, within: int | None) -> set[int]:
+        """Every element masked, or only those supported inside ``[0, within]``."""
+        start = None if within is None else self._from(within + 1)
 
-        def number() -> tuple[list[int], int]:
-            first: dict[tuple[int, ...], int] = {}
-            ids = list(map(first.setdefault, map(itemgetter(cols), self.elements), count(0, scale)))
-            return ids, len(first)
+        def read() -> set[int]:
+            pool = self._packed
+            if start is not None:
+                # An element vanishes from bit ``start`` on exactly when it is below 2^start.
+                pool = filter((1 << start).__gt__, pool)
+            return set(map(mask.__and__, pool))
 
-        return self._memoised(("classes", cols.start, cols.stop, scale), number)
-
-    def _pasts(self, cut: int) -> tuple[list[int], int]:
-        """``|H|`` times each element's class of slices before column ``cut``, and the number of classes."""
-        return self._classes(slice(0, cut), len(self.elements))
-
-    def _futures(self, start: int) -> tuple[list[int], int]:
-        """Each element's class of slices from column ``start`` on, and the number of classes."""
-        return self._classes(slice(start, None), 1)
+        return self._memoised(("patterns", mask, start), read)
 
     def patterns(self, coords: Sequence[int], within: int | None = None) -> set[tuple[int, ...]]:
         """Values on ``coords`` of every element, or of those supported inside ``[0, within]``."""
-        cols = self._codec.columns(coords)
-        start = None if within is None else self._from(within + 1)
-
-        def read() -> set[tuple[int, ...]]:
-            pool = self.elements
-            if start is not None:
-                pool = compress(pool, map(not_, map(any, map(itemgetter(slice(start, None)), pool))))
-            # A run of columns is read as one slice; other column lists hold at least two.
-            first = cols[0] if cols else 0
-            run = cols == list(range(first, first + len(cols)))
-            return set(map(itemgetter(slice(first, first + len(cols))) if run else itemgetter(*cols), pool))
-
-        return self._memoised(("patterns", tuple(cols), start), read)
+        cols, mask = self._mask(coords)
+        return set(self._unpack(self._values(mask, within), cols))
 
     def controllable_at(self, j: Iterable[int]) -> bool:
-        coords = sorted(set(j))
-        return self.patterns(coords) == self.patterns(coords, within=self.w - 1)
+        _, mask = self._mask(sorted(set(j)))
+        return self._values(mask, None) == self._values(mask, self.w - 1)
 
     def controllable(self) -> bool:
         # Only the longest segment [0, W + L - 1] is checked: the pattern sets
@@ -678,27 +700,30 @@ class WindowOracle:
         return self.controllable()
 
     def defect(self, j: Iterable[int]) -> int | None:
-        coords = sorted(set(j))
-        target = self.patterns(coords)
+        _, mask = self._mask(sorted(set(j)))
+        target = self._values(mask, None)
         # From k = W - 1 on, the elements supported inside [0, k] are those that vanish from W on.
-        return next((k for k in range(max(self.w, 1)) if self.patterns(coords, within=k) == target), None)
+        return next((k for k in range(max(self.w, 1)) if self._values(mask, k) == target), None)
 
     def uniformly_controllable(self) -> bool:
         return self.defect(range(self.w + self.l)) is not None
 
-    def _splices(self, n: int, m: int) -> tuple[set[int], int, int]:
-        """The pair (values before ``n``, values from ``m`` on) of every element, as ``past * |H| + future``.
-
-        Also the number of pasts and of futures.
-        """
-        pasts, past_count = self._pasts(self.offsets[n])
-        futures, future_count = self._futures(self._from(m))
-        return set(map(add, pasts, futures)), past_count, future_count
+    def _distinct(self, view: Callable[[int], int]) -> int:
+        return len(set(map(view, self._packed)))
 
     def _joins(self, n: int, m: int) -> bool:
         """Whether every past before ``n`` joins every future from ``m`` on."""
-        key = ("joins", self.offsets[n], self._from(m))
-        return self._memoised(key, lambda: _every_past_joins_every_future(*self._splices(n, m)))
+        cut, start = self.offsets[n] * self._b, self._from(m)
+        past = (1 << cut) - 1
+        # Past and future together, the columns between them cleared.
+        keep = past | (-1 << start)
+
+        def joins() -> bool:
+            pasts = self._memoised(("pasts", cut), lambda: self._distinct(past.__and__))
+            futures = self._memoised(("futures", start), lambda: self._distinct(start.__rrshift__))
+            return _every_past_joins_every_future(set(map(keep.__and__, self._packed)), pasts, futures)
+
+        return self._memoised(("joins", cut, start), joins)
 
     def k_controllable(self, k: int) -> bool:
         if k < 0:
@@ -708,7 +733,16 @@ class WindowOracle:
     def strong_index(self, k_max: int | None = None) -> int | None:
         # A future from n + k >= W on is the slice from W, so every gap past W answers as W does.
         bound = self.w if k_max is None else min(k_max, self.w)
-        return next((k for k in range(bound + 1) if self.k_controllable(k)), None)
+        # A gap that serves a cut serves it with every larger gap, so the
+        # least gap of the cuts up to n is the least one of the cuts before n,
+        # raised until it serves n.
+        k = 0
+        for n in range(self.w + self.l + 1):
+            while k <= bound and not self._joins(n, n + k):
+                k += 1
+            if k > bound:
+                return None
+        return k
 
     def _reconnection_points(self, n: int) -> range:
         return range(n, max(n, self.w) + 1)
@@ -718,12 +752,19 @@ class WindowOracle:
 
         The tests check the pattern form ``controllable`` against it.
         """
+        elems = self._packed
         for n in range(self.w + self.l + 1):
-            pasts, _ = self._pasts(self.offsets[n])
-            joints = [(self._futures(self._from(m))[0], self._splices(n, m)[0]) for m in self._reconnection_points(n)]
-            for past in set(pasts):
-                for y in range(len(self.elements)):
-                    if not any(past + futures[y] in joint for futures, joint in joints):
+            past = (1 << self.offsets[n] * self._b) - 1
+            joints = []
+            for m in self._reconnection_points(n):
+                future = -1 << self._from(m)
+                joints.append((future, past & future, set(map((past | future).__and__, elems))))
+            for p in set(map(past.__and__, elems)):
+                for y in elems:
+                    # A past and a future that overlap join only where they agree.
+                    if not any(
+                        not ((p ^ y) & overlap) and p | (y & future) in joint for future, overlap, joint in joints
+                    ):
                         return False
         return True
 

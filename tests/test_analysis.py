@@ -103,6 +103,8 @@ def test_k_controllability_monotone_and_least_gap(h):
         bound = w + l if k_max is None else k_max
         first = next((k for k in range(bound + 1) if holds[k]), None)
         assert oracle.strong_index(k_max) == strong_index(h, k_max) == first
+    # The oracle's one sweep over the cuts answers as its per-gap form.
+    assert oracle.strong_index() == next((k for k in range(w + 1) if oracle.k_controllable(k)), None)
 
 
 @PROPERTY
@@ -484,6 +486,80 @@ def test_oracle_cap_is_the_subgroup_order(h):
     for cap in (0, -1):
         with pytest.raises(CapExceeded, match=f"^enumeration needs 1 elements, cap is {cap}$"):
             WindowOracle(h, cap=cap)
+
+
+def _field_width_cases():
+    """Subgroups whose columns have orders 1 to 257, and 2**70, around the oracle's bit-field widths.
+
+    A generator is given by its value at coordinate 0, its values after it and its repeating block.
+    """
+    cases = []
+    for prefix_orders, tail_orders, gens in [
+        ((1, 2, 3, 4), (4,), [((0, 1, 2, 3), [(3,)], [(1,)]), ((0, 1, 1, 1), [(1,), (3,)], [(0,)])]),
+        ((1, 3), (2, 4), [((0, 2), [], [(1, 3)]), ((0, 1), [(1, 2)], [(0, 0)])]),
+        ((255, 2), (255,), [((254, 1), [(254,)], [(0,)]), ((0, 1), [], [(85,)])]),
+        ((256, 2), (256,), [((255, 1), [], [(255,)]), ((128, 1), [(0,), (128,)], [(0,)])]),
+        ((257, 2), (257,), [((256, 1), [(256,)], [(0,)]), ((0, 1), [], [(0,)])]),
+        ((2**70, 3), (2**70,), [((2**69, 1), [], [(2**69,)]), ((0, 1), [(2**69,)], [(0,)])]),
+    ]:
+        schema = CoordSchema((FiniteAbelianGroup(prefix_orders),), FiniteAbelianGroup(tail_orders))
+        elems = [
+            SeqElement(
+                schema,
+                (schema.group_at(0).element(first), *map(schema.tail.element, after)),
+                tuple(map(schema.tail.element, period)),
+            )
+            for first, after, period in gens
+        ]
+        # Each generator alone and all of them together.
+        cases += [ProductSubgroup(schema, (g,)) for g in elems] + [ProductSubgroup(schema, tuple(elems))]
+    return cases
+
+
+@pytest.mark.parametrize("h", _field_width_cases(), ids=lambda h: str(h.schema.group_at(0).orders))
+def test_oracle_fields_hold_every_residue(h):
+    # Every field is one bit wider than the window's largest residue, so a
+    # column of order 1 sits in a wide field, 256 fills the eight bits below
+    # the spare one and 257 needs nine.
+    oracle = WindowOracle(h, cap=3000)
+    w, l = effective_window(h)
+    window = [tuple(c for i in range(w + l) for c in e.value_at(i).coords) for e in enumerate_elements(h)]
+    assert sorted(oracle.elements) == sorted(window)
+    ref = SliceOracle(h, cap=3000)
+    assert [oracle.k_controllable(k) for k in range(2 * (w + l) + 2)] == [
+        ref.k_controllable(k) for k in range(2 * (w + l) + 2)
+    ]
+    assert [oracle.strong_index(k) for k in (None, -1, *range(w + 2))] == [
+        ref.strong_index(k) for k in (None, -1, *range(w + 2))
+    ]
+    for n in range(1, w + l + 1):
+        assert oracle.patterns(range(n)) == ref.patterns(range(n))
+        assert oracle.defect(range(n)) == ref.defect(range(n))
+
+
+_Z2 = uniform_schema(FiniteAbelianGroup((2,)))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        block_family(2, (2, 3)),
+        # Not uniformly controllable: its one nonzero element repeats 1 from coordinate 2 on.
+        ProductSubgroup(_Z2, (SeqElement(_Z2, (_Z2.tail.element((1,)), _Z2.tail.zero()), (_Z2.tail.element((1,)),)),)),
+    ],
+    ids=["blocks", "failing"],
+)
+@pytest.mark.parametrize("k_max", [None, 0, 1, 2, 10])
+def test_least_gap_sweeps_the_cuts_once(h, k_max):
+    # Each join the sweep evaluates either moves it to the next cut or raises the gap.
+    oracle = WindowOracle(h)
+    calls = []
+    joins = oracle._joins
+    oracle._joins = lambda n, m: calls.append((n, m)) or joins(n, m)
+    bound = oracle.w if k_max is None else min(k_max, oracle.w)
+    expected = next((k for k in range(bound + 1) if WindowOracle(h).k_controllable(k)), None)
+    assert oracle.strong_index(k_max) == expected
+    assert len(calls) <= oracle.w + oracle.l + 1 + bound
 
 
 @PROPERTY
